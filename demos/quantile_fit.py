@@ -11,7 +11,6 @@ from kqreg import (
     Additive,
     BlockLayout,
     DataSet,
-    FitOptions,
     Gaussian,
     empirical_risk,
     fit,
@@ -27,12 +26,11 @@ data = DataSet(inputs=X, responses=y)
 layout = BlockLayout([1, 1])
 spec = Additive(layout, [Gaussian(sigma=1.0), Gaussian(sigma=1.0)])
 lam = n ** (-4.0 / 3.0)
-opts = FitOptions(seed=0, max_epochs=200000)  # small lambda needs long sweeps
 
 print(f"n = {n}, lambda = {lam:.2e}")
 print(f"{'tau':>5} {'below fit':>10} {'pinball risk':>13} {'norm':>8} {'gap':>9}")
 for tau in (0.1, 0.5, 0.9):
-    model = fit(spec, data, lam=lam, tau=tau, opts=opts)
+    model = fit(spec, data, lam=lam, tau=tau)
     preds = model.predict(X)
     frac_below = np.mean(y <= preds)
     risk = empirical_risk(tau, preds, data).value
@@ -45,7 +43,7 @@ print()
 print("The fitted surfaces nest: higher tau lies above lower tau on a grid.")
 grid = rng.random((5, 2))
 curves = {
-    tau: fit(spec, data, lam=lam, tau=tau, opts=opts).predict(grid)
+    tau: fit(spec, data, lam=lam, tau=tau).predict(grid)
     for tau in (0.1, 0.5, 0.9)
 }
 for i, x in enumerate(grid):

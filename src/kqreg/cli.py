@@ -70,7 +70,7 @@ def _cmd_fit(args) -> int:
     data = DataSet.from_csv(args.data)
     with open(args.kernel) as fh:
         spec = kernels.spec_from_dict(json.load(fh))
-    opts = FitOptions(gap_tol=args.gap_tol, max_epochs=args.max_epochs, seed=args.seed)
+    opts = FitOptions(gap_tol=args.gap_tol, max_epochs=args.max_epochs)
     model = solver.fit(spec, data, lam=args.lam, tau=args.tau, opts=opts)
     model.save(args.out)
     print(f"fitted n={data.n} points: gap={model.gap:.3e}, "
@@ -168,9 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--lambda", dest="lam", type=float, required=True)
     p_fit.add_argument("--tau", type=float, required=True)
     p_fit.add_argument("--out", required=True)
-    p_fit.add_argument("--gap-tol", type=float, default=1e-8)
-    p_fit.add_argument("--max-epochs", type=int, default=10000)
-    p_fit.add_argument("--seed", type=int, default=0)
+    p_fit.add_argument("--gap-tol", type=float, default=FitOptions.gap_tol)
+    p_fit.add_argument("--max-epochs", type=int, default=FitOptions.max_epochs,
+                       help="cap on Newton steps")
     p_fit.set_defaults(func=_cmd_fit)
 
     p_pred = sub.add_parser("predict", help="evaluate a saved model on CSV data")

@@ -104,8 +104,8 @@ class ExperimentSpec:
     seeds: tuple[int, ...]
     risk_eval: int = 8192
     beta_b: float | None = None  # schedule for kernel_b; defaults to beta
-    gap_tol: float = 1e-8
-    max_epochs: int = 1000000
+    gap_tol: float = FitOptions.gap_tol
+    max_epochs: int = FitOptions.max_epochs
 
     def __post_init__(self):
         if len(self.targets) != self.layout.n_blocks:
@@ -157,8 +157,8 @@ class ExperimentSpec:
             seeds=tuple(int(s) for s in obj["seeds"]),
             risk_eval=int(obj.get("risk_eval", 8192)),
             beta_b=float(obj["beta_b"]) if obj.get("beta_b") is not None else None,
-            gap_tol=float(obj.get("gap_tol", 1e-8)),
-            max_epochs=int(obj.get("max_epochs", 200000)),
+            gap_tol=float(obj.get("gap_tol", FitOptions.gap_tol)),
+            max_epochs=int(obj.get("max_epochs", FitOptions.max_epochs)),
         )
 
     @classmethod
@@ -263,7 +263,7 @@ def _run_job(args) -> dict:
     spec, kernel_name, kernel_spec, beta, kidx, n, seed = args
     lam = float(n) ** (-beta)
     data = generate(spec, n, seed=[seed, n, kidx])
-    opts = FitOptions(gap_tol=spec.gap_tol, max_epochs=spec.max_epochs, seed=seed)
+    opts = FitOptions(gap_tol=spec.gap_tol, max_epochs=spec.max_epochs)
     out = {"kernel": kernel_name, "n": n, "seed": seed, "lambda": lam}
     try:
         model = solver.fit(kernel_spec, data, lam=lam, tau=spec.tau, opts=opts)

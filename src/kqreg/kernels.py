@@ -118,14 +118,14 @@ class Gaussian(KernelSpec):
         return None
 
     def _cross(self, A, B):
+        # |a|^2 + |b|^2 - 2 a.b, then exp(-sq / sigma^2), bit for bit, with
+        # at most two m x n arrays live (predict's peak memory)
         with np.errstate(invalid="ignore"):  # non-finite inputs caught by callers
-            sq = (
-                np.sum(A * A, axis=1)[:, None]
-                + np.sum(B * B, axis=1)[None, :]
-                - 2.0 * (A @ B.T)
-            )
+            sq = -2.0 * (A @ B.T)
+            sq += np.sum(A * A, axis=1)[:, None] + np.sum(B * B, axis=1)[None, :]
             np.maximum(sq, 0.0, out=sq)
-            return np.exp(-sq / self.sigma**2)
+            sq /= -self.sigma**2
+            return np.exp(sq, out=sq)
 
 
 @dataclass(frozen=True)
@@ -187,7 +187,7 @@ class Additive(_Composite):
     def _cross(self, A, B):
         out = None
         for blk in self._block_crosses(A, B):
-            out = blk if out is None else out + blk
+            out = blk if out is None else np.add(out, blk, out=out)
         return out
 
 
@@ -212,7 +212,7 @@ class Product(_Composite):
     def _cross(self, A, B):
         out = None
         for blk in self._block_crosses(A, B):
-            out = blk if out is None else out * blk
+            out = blk if out is None else np.multiply(out, blk, out=out)
         return out
 
 

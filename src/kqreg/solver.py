@@ -1,4 +1,4 @@
-"""Regularized kernel quantile regression via dual coordinate ascent.
+"""Regularized kernel quantile regression by finite smoothing and Newton steps.
 
 The primal problem over the RKHS H of a kernel spec is
 
@@ -11,9 +11,12 @@ min/max gives the box-constrained concave dual
     max_{u in [-tau, 1-tau]^n}  D(u) = -sum_i w_i u_i y_i - (1/(4 lambda)) u' W K W u
 
 with primal recovery alpha = -W u / (2 lambda), f = sum_i alpha_i k(x_i, .).
-Each coordinate of D is an exact 1-d quadratic, so cyclic updates with
-clipping converge monotonically in D; we stop on the relative duality gap
-J(alpha(u)) - D(u) computed exactly each epoch.
+``fit`` is Chen's finite smoothing (JCGS 16:136-164, 2007) in kernel space:
+Newton steps on the check loss smoothed to width h, then the dual
+u = -clip((y - f) / h, tau - 1, tau) is certified by the exact relative
+duality gap J(alpha(u)) - D(u), and h shrinks tenfold until it passes.  Once
+the band (points with u strictly inside the box) repeats across widths, its
+h -> 0 limit, in which band points interpolate, is solved and certified too.
 """
 
 from __future__ import annotations
@@ -39,18 +42,8 @@ __all__ = [
     "objective",
 ]
 
-_DIAG_GUARD = 1e-12  # added to K_ii in coordinate denominators (duplicate points)
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
-
 class ConvergenceError(RuntimeError):
-    """Raised when the duality gap did not reach tolerance within max_epochs."""
+    """Raised when the duality gap did not reach tolerance; carries the smallest gap."""
 
     def __init__(self, message: str, gap: float):
         super().__init__(message)
@@ -147,11 +140,10 @@ class DataSet:
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Stopping rule and coordinate-order seed for the dual ascent."""
+    """Stopping rule: relative duality gap and a cap on Newton steps."""
 
     gap_tol: float = 1e-8
     max_epochs: int = 10000
-    seed: int = 0
 
     def __post_init__(self):
         if not (self.gap_tol > 0):
@@ -195,6 +187,7 @@ class Model:
                 "d": int(self.support.shape[1]),
             },
             "alpha": [float(v) for v in self.alpha],
+            "dual": [float(v) for v in self.dual],
             "lambda": self.lam,
             "tau": self.tau,
             "gap": self.gap,
@@ -212,8 +205,8 @@ class Model:
         alpha = np.asarray(obj["alpha"], dtype=float)
         lam = float(obj["lambda"])
         tau = float(obj["tau"])
-        # dual recovered from alpha for uniform weights; kept for box checks
-        dual = -2.0 * lam * alpha * sup["n"]
+        # files without a dual: recovered from alpha, right for uniform weights only
+        dual = np.asarray(obj["dual"], dtype=float) if "dual" in obj else -2.0 * lam * alpha * sup["n"]
         return cls(
             spec=spec,
             support=X,
@@ -230,47 +223,6 @@ class Model:
             return cls.from_dict(json.load(fh))
 
 
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _sweep(K, y, w, u, alpha, f, lam, lo, hi, order):  # pragma: no cover - jitted
-        n = y.shape[0]
-        for idx in range(order.shape[0]):
-            i = order[idx]
-            wi = w[i]
-            if wi <= 0.0:
-                continue
-            step = 2.0 * lam * (f[i] - y[i]) / (wi * (K[i, i] + _DIAG_GUARD))
-            un = u[i] + step
-            if un < lo:
-                un = lo
-            elif un > hi:
-                un = hi
-            delta = un - u[i]
-            if delta != 0.0:
-                u[i] = un
-                da = -wi * delta / (2.0 * lam)
-                alpha[i] += da
-                for l in range(n):
-                    f[l] += da * K[i, l]
-
-else:
-
-    def _sweep(K, y, w, u, alpha, f, lam, lo, hi, order):
-        for i in order:
-            wi = w[i]
-            if wi <= 0.0:
-                continue
-            step = 2.0 * lam * (f[i] - y[i]) / (wi * (K[i, i] + _DIAG_GUARD))
-            un = min(max(u[i] + step, lo), hi)
-            delta = un - u[i]
-            if delta != 0.0:
-                u[i] = un
-                da = -wi * delta / (2.0 * lam)
-                alpha[i] += da
-                f += da * K[i, :]
-
-
 def _primal_dual(K, y, w, u, alpha, tau, lam):
     """Exact primal objective (unshifted loss), dual objective, and gap."""
     f = K @ alpha
@@ -280,6 +232,13 @@ def _primal_dual(K, y, w, u, alpha, tau, lam):
     return primal, dual_obj, primal - dual_obj, f
 
 
+def _smoothed(r, h, tau):
+    """psi_h(r) = clip(r / h, tau - 1, tau) and the smoothed check loss
+    rho_h(r) = psi_h r - h psi_h^2 / 2, which is r^2 / (2h) inside the band."""
+    psi = np.clip(r / h, tau - 1.0, tau)
+    return psi, psi * r - 0.5 * h * psi**2
+
+
 def fit(
     spec: KernelSpec,
     data: DataSet,
@@ -287,10 +246,11 @@ def fit(
     tau: float,
     opts: FitOptions = FitOptions(),
 ) -> Model:
-    """Solve the regularized pinball ERM; deterministic for a given seed.
+    """Solve the regularized pinball ERM; deterministic.
 
     Raises :class:`ConvergenceError` if the relative duality gap does not
-    reach ``opts.gap_tol`` within ``opts.max_epochs`` sweeps.
+    reach ``opts.gap_tol`` within ``opts.max_epochs`` Newton steps, or
+    before the smoothing width falls to round-off.
     """
     if not (lam > 0):
         raise ValueError(f"lambda must be positive, got {lam}")
@@ -299,45 +259,80 @@ def fit(
     K = gram(spec, data.inputs).entries
     y = data.responses
     w = data.weight_vector()
-    n = data.n
 
-    u = np.zeros(n)
-    alpha = np.zeros(n)
-    f = np.zeros(n)
-    lo, hi = -tau, 1.0 - tau
-    rng = np.random.default_rng(opts.seed)
+    def certify(u):
+        alpha = -w * u / (2.0 * lam)
+        _, dual_obj, gap, _ = _primal_dual(K, y, w, u, alpha, tau, lam)
+        return alpha, gap, gap <= opts.gap_tol * (1.0 + abs(dual_obj))
 
-    primal, dual_obj, gap, _ = _primal_dual(K, y, w, u, alpha, tau, lam)
-    if gap <= opts.gap_tol * (1.0 + abs(dual_obj)):
-        return Model(spec=spec, support=data.inputs, dual=u, alpha=alpha,
-                     lam=lam, tau=tau, gap=gap)
+    u = np.zeros_like(y)
+    alpha_u, gap, ok = certify(u)
+    best, steps, prev_band = gap, 0, None
+    alpha, f = np.zeros_like(y), np.zeros_like(y)
+    h = h0 = float(np.max(np.abs(y)))
+    while not ok and steps < opts.max_epochs and h > h0 * np.finfo(float).eps:
+        # Armijo-damped Newton on F = sum_i w_i rho_h(y_i - f_i) + lambda alpha' K alpha,
+        # gradient K g with g = 2 lambda alpha - W psi: d solves (D K + 2 lambda I) d = -g,
+        # D = diag(w / h) on the band B and 0 elsewhere, so that g' K d = -d' H d.
+        prev_key, full_step = None, False
+        while True:
+            r = y - f
+            psi, rho = _smoothed(r, h, tau)
+            key = (psi >= tau).astype(np.int8) - (psi <= tau - 1.0)
+            band = (key == 0) & (w > 0)
+            if steps >= opts.max_epochs or (full_step and np.array_equal(key, prev_key)):
+                break  # capped, or a full step stayed on one quadratic piece: exact minimum
+            g = 2.0 * lam * alpha - w * psi
+            d = -g / (2.0 * lam)
+            B = np.flatnonzero(band)
+            if B.size:
+                d[B] = 0.0
+                A = K[np.ix_(B, B)]
+                A[np.diag_indices_from(A)] += 2.0 * lam * h / w[B]
+                d[B] = np.linalg.solve(A, -(h / w[B]) * g[B] - K[B] @ d)
+            Kd = K @ d
+            slope = float(g @ Kd)
+            F0 = float(w @ rho) + lam * float(alpha @ f)
+            if not (-slope > np.finfo(float).eps * F0):
+                break  # the predicted decrease is below round-off of F
+            t = 1.0
+            while t > 1e-12:
+                _, rho_t = _smoothed(r - t * Kd, h, tau)
+                F_t = float(w @ rho_t) + lam * float((alpha + t * d) @ (f + t * Kd))
+                if F_t <= F0 + 1e-4 * t * slope:
+                    break
+                t *= 0.5
+            else:
+                break  # no decrease along d: the width's minimum up to round-off
+            alpha += t * d
+            f += t * Kd
+            steps += 1
+            prev_key, full_step = key, t == 1.0
 
-    # Full sweeps carry the convergence guarantee (exact gap on exact f);
-    # between them, sweeps skip coordinates parked at a bound with the
-    # gradient pointing outward, which is where most dual variables sit.
-    inner_sweeps = 9
-    epoch = 0
-    while epoch < opts.max_epochs:
-        order = rng.permutation(n)
-        _sweep(K, y, w, u, alpha, f, lam, lo, hi, order)
-        epoch += 1
-        primal, dual_obj, gap, f = _primal_dual(K, y, w, u, alpha, tau, lam)
-        if gap <= opts.gap_tol * (1.0 + abs(dual_obj)):
-            return Model(spec=spec, support=data.inputs, dual=u.copy(), alpha=alpha.copy(),
-                         lam=lam, tau=tau, gap=gap)
-        grad = w * (f - y)
-        frozen = ((u <= lo + 1e-15) & (grad <= 0.0)) | ((u >= hi - 1e-15) & (grad >= 0.0))
-        active = np.flatnonzero(~frozen)
-        for _ in range(inner_sweeps):
-            if epoch >= opts.max_epochs or active.size == 0:
-                break
-            order = rng.permutation(active)
-            _sweep(K, y, w, u, alpha, f, lam, lo, hi, order)
-            epoch += 1
+        u = -psi
+        alpha_u, gap, ok = certify(u)
+        best = min(best, gap)
+        if not ok and band.any() and np.array_equal(band, prev_band):
+            # The band repeated across widths: take its h -> 0 limit, where band
+            # points interpolate, (K alpha)_B = y_B, and the rest stay at bounds.
+            # The least-norm change to the smoothed dual keeps it inside the box
+            # where K_BB is singular and many duals interpolate.
+            B, N = np.flatnonzero(band), np.flatnonzero(~band)
+            M = K[np.ix_(B, B)] * w[B]
+            rhs = -2.0 * lam * y[B] - K[np.ix_(B, N)] @ (w[N] * u[N]) - M @ u[B]
+            u[B] += np.linalg.lstsq(M, rhs, rcond=None)[0]
+            u = np.clip(u, -tau, 1.0 - tau)
+            alpha_u, gap, ok = certify(u)
+            best = min(best, gap)
+        prev_band = band
+        h /= 10.0
 
-    raise ConvergenceError(
-        f"duality gap {gap:.3e} above tolerance after {opts.max_epochs} epochs", gap=gap
-    )
+    if not ok:
+        raise ConvergenceError(
+            f"duality gap {best:.3e} above tolerance after {steps} Newton steps", gap=best
+        )
+    return Model(spec=spec, support=data.inputs, dual=u, alpha=alpha_u,
+                 lam=lam, tau=tau, gap=gap)
 
 
 def predict(model: Model, x) -> float | np.ndarray:

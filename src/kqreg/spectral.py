@@ -259,7 +259,7 @@ def approx_error(
     add_spec = Additive(layout, block_specs)
     data = _solver.DataSet(inputs=X, responses=y, weights=w)
     model = _solver.fit(add_spec, data, lam=lam, tau=tau,
-                        opts=_solver.FitOptions(gap_tol=gap_tol, max_epochs=500000))
+                        opts=_solver.FitOptions(gap_tol=gap_tol))
     _, d_measured = _solver.objective(model, data)
 
     lip = max(tau, 1.0 - tau)

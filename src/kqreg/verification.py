@@ -31,7 +31,7 @@ def dual_grid_oracle(
     spec: KernelSpec, data: DataSet, lam: float, tau: float, steps: int = 201
 ) -> float:
     """Best dual objective found by exhaustive box-grid search plus one local
-    refinement.  Independent of the coordinate-ascent path; every primal
+    refinement.  Independent of the Newton solver; every primal
     objective must dominate this value (weak duality)."""
     K = gram(spec, data.inputs).entries
     y = data.responses
@@ -192,7 +192,7 @@ def verify_solver(seed: int = 0) -> tuple[list[dict], bool]:
             lam = float(rng.uniform(0.05, 1.0))
             data = DataSet(inputs=X, responses=y)
             model = solver.fit(spec, data, lam=lam, tau=tau,
-                               opts=FitOptions(gap_tol=1e-10, seed=seed))
+                               opts=FitOptions(gap_tol=1e-10))
             _, obj = solver.objective(model, data)
             oracle = dual_grid_oracle(spec, data, lam, tau)
             rows.append({"case": f"oracle-n{n}-{rep}", "lhs": obj,
@@ -205,7 +205,7 @@ def verify_solver(seed: int = 0) -> tuple[list[dict], bool]:
         y = np.sin(2 * np.pi * X[:, 0]) + rng.normal(scale=0.3, size=n)
         data = DataSet(inputs=X, responses=y)
         model = solver.fit(spec, data, lam=1.0 / n, tau=0.7,
-                           opts=FitOptions(gap_tol=1e-9, seed=seed))
+                           opts=FitOptions(gap_tol=1e-9))
         gap = max(model.gap, solver.duality_gap(model, data))
         rows.append({"case": f"gap-n{n}", "lhs": gap, "rhs": 1e-8,
                      "pass": gap <= 1e-8})
@@ -219,7 +219,7 @@ def verify_solver(seed: int = 0) -> tuple[list[dict], bool]:
         tau = float(rng.uniform(0.1, 0.9))
         data = DataSet(inputs=X, responses=y)
         model = solver.fit(spec, data, lam=lam, tau=tau,
-                           opts=FitOptions(gap_tol=1e-10, seed=seed))
+                           opts=FitOptions(gap_tol=1e-10))
         hnorm = math.sqrt(model.norm_sq())
         bound = math.sqrt(float(np.max(np.abs(y))) / lam)
         rows.append({"case": f"norm-{rep}", "lhs": hnorm, "rhs": bound + 1e-6,

@@ -80,7 +80,7 @@ class TestFitPredict:
         assert run_cli("fit", "--data", str(data_path), "--kernel", str(kernel_path),
                        "--lambda", "0.05", "--tau", "0.5", "--out", str(model_path)) == 0
         blob = json.loads(model_path.read_text())
-        assert set(blob) == {"kernel", "support", "alpha", "lambda", "tau", "gap"}
+        assert set(blob) == {"kernel", "support", "alpha", "dual", "lambda", "tau", "gap"}
         pred_path = tmp / "preds.csv"
         assert run_cli("predict", "--model", str(model_path), "--data", str(data_path),
                        "--out", str(pred_path)) == 0
@@ -94,6 +94,28 @@ class TestFitPredict:
                        "--lambda", "1e-9", "--tau", "0.5", "--max-epochs", "1",
                        "--out", str(tmp / "m.json"))
         assert code == 3
+
+    def test_default_options_fit_acceptance_data(self, tmp_path):
+        # the acceptance experiment's largest additive fit, through the CLI
+        # with its default --gap-tol and --max-epochs
+        from kqreg.experiments import BlockTarget, ExperimentSpec, generate
+
+        lay = BlockLayout([1, 1, 1, 1])
+        spec = ExperimentSpec(
+            layout=lay,
+            targets=tuple(BlockTarget(kind="kernel_bump", center=c, sigma=1.0)
+                          for c in (0.2, 0.4, 0.6, 0.8)),
+            noise_halfwidth=0.5, tau=0.5,
+            kernel_a=Additive(lay, [Gaussian(1.0)] * 4), kernel_b=None,
+            n_grid=(1600,), beta=4.0 / 3.0, seeds=(0,),
+        )
+        data_path = tmp_path / "train.csv"
+        generate(spec, 1600, seed=[0, 1600, 0]).to_csv(data_path)
+        kernel_path = tmp_path / "kernel.json"
+        kernel_path.write_text(json.dumps(spec_to_dict(spec.kernel_a)))
+        assert run_cli("fit", "--data", str(data_path), "--kernel", str(kernel_path),
+                       "--lambda", repr(1600.0 ** (-4.0 / 3.0)), "--tau", "0.5",
+                       "--out", str(tmp_path / "m.json")) == 0
 
     def test_missing_data_file_is_input_error(self, artifacts):
         _, kernel_path, tmp = artifacts

@@ -13,6 +13,7 @@ from kqreg.spectral import (
     operator_matrix,
     power_apply,
 )
+from kqreg.verification import verify_approx
 
 
 def random_measure(rng, m, d=1):
@@ -263,3 +264,9 @@ class TestApproxError:
             assert a <= b + 1e-8
         # vanishing regularization drives the measured error toward zero
         assert vals[0] <= 0.2 * vals[-1]
+
+    def test_approx_suite_at_seed_2(self):
+        # seed 2's problems include weighted fits at lambda = 0.01 and
+        # gap_tol 1e-10 that must certify, not raise ConvergenceError
+        rows, ok = verify_approx(seed=2)
+        assert ok and len(rows) == 40
