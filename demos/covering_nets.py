@@ -9,7 +9,7 @@ does not grow with the number of blocks.
 import numpy as np
 
 from kqreg import BlockLayout, Gaussian, additive_net, cover_ball
-from kqreg.capacity import nearest_center_distance, sample_additive_ball
+from kqreg.capacity import nearest_center, sample_additive_ball
 
 rng = np.random.default_rng(3)
 points = rng.random((10, 2))
@@ -24,7 +24,7 @@ for eps in (0.5, 0.25, 0.125):
     ]
     combo = additive_net(nets, full_points=points)
     blocks = sample_additive_ball(specs, layout, points, n=1000, seed=123)
-    dists = nearest_center_distance(combo, sum(blocks))
+    _, dists = nearest_center(combo, sum(blocks))
     print(f"{eps:7.3f} {nets[0].size:6d} {nets[1].size:6d} {combo.size:10d} "
           f"{dists.max():11.4f} {2 * eps:6.2f}")
 

@@ -33,7 +33,7 @@ for tau in (0.1, 0.5, 0.9):
     model = fit(spec, data, lam=lam, tau=tau)
     preds = model.predict(X)
     frac_below = np.mean(y <= preds)
-    risk = empirical_risk(tau, preds, data).value
+    risk = empirical_risk(tau, preds, data)
     print(
         f"{tau:5.2f} {frac_below:10.3f} {risk:13.5f} "
         f"{model.norm_sq() ** 0.5:8.3f} {model.gap:9.1e}"

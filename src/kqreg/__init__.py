@@ -21,7 +21,7 @@ from .kernels import (
     spec_from_dict,
     spec_to_dict,
 )
-from .loss import PinballLoss, RiskValue, clip, empirical_risk, pinball, shifted_pinball
+from .loss import clip, empirical_risk, pinball, shifted_pinball
 from .solver import (
     ConvergenceError,
     DataSet,
@@ -30,7 +30,6 @@ from .solver import (
     duality_gap,
     fit,
     objective,
-    predict,
 )
 from .spectral import (
     BlockFunction,
@@ -46,7 +45,6 @@ from .spectral import (
 from .capacity import (
     EmpiricalNet,
     additive_net,
-    check_capacity_bound,
     cover_ball,
     empirical_distance,
 )
@@ -72,7 +70,6 @@ from .experiments import (
     bump_membership_report,
     fit_slope,
     generate,
-    product_norm_series,
     rate_experiment,
     true_excess_risk,
 )

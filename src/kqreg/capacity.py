@@ -25,8 +25,7 @@ __all__ = [
     "additive_net",
     "sample_ball_values",
     "sample_additive_ball",
-    "nearest_center_distance",
-    "check_capacity_bound",
+    "nearest_center",
 ]
 
 _DEFAULT_SAMPLES = 20000
@@ -46,10 +45,6 @@ class EmpiricalNet:
     @property
     def size(self) -> int:
         return self.centers.shape[0]
-
-    @property
-    def log_size(self) -> float:
-        return float(np.log(self.size))
 
 
 def empirical_distance(f_vals, g_vals) -> float:
@@ -178,89 +173,21 @@ def sample_additive_ball(
     return out
 
 
-def nearest_center_distance(net: EmpiricalNet, values: np.ndarray) -> np.ndarray:
-    """Empirical distance from each row of values to its nearest center."""
+def nearest_center(net: EmpiricalNet, values) -> tuple[np.ndarray, np.ndarray]:
+    """Index of each row's nearest center (the first on ties) and the
+    empirical distance to it."""
     V = np.atleast_2d(np.asarray(values, dtype=float))
-    m = V.shape[1]
-    out = np.full(V.shape[0], np.inf)
-    # chunk the centers to bound the distance-matrix memory
-    step = max(1, int(2e7) // max(V.shape[0], 1))
+    rows = np.arange(V.shape[0])
+    index = np.zeros(V.shape[0], dtype=int)
+    best = np.full(V.shape[0], np.inf)
+    # chunk the centers to bound the (rows, centers, m) difference array
+    step = max(1, int(4e6) // max(V.size, 1))
     for start in range(0, net.size, step):
-        C = net.centers[start : start + step]
-        d2 = (
-            np.sum(V * V, axis=1)[:, None]
-            + np.sum(C * C, axis=1)[None, :]
-            - 2.0 * V @ C.T
-        )
-        np.minimum(out, np.sqrt(np.maximum(d2.min(axis=1), 0.0) / m), out=out)
-    return out
-
-
-def check_capacity_bound(
-    spec_components: list[KernelSpec],
-    layout: BlockLayout,
-    points,
-    R: float,
-    eps_grid: list[float],
-    c_zeta: float,
-    zeta: float,
-    seed: int = 0,
-    n_samples: int = _DEFAULT_SAMPLES,
-) -> list[dict]:
-    """Compare net-size estimates against the capacity-assumption bounds.
-
-    For each eps: per-block rows check the estimate log|N_j| against
-    c_zeta (R/eps)^zeta (diagnostic -- c_zeta and zeta are supplied, not
-    fitted); the 'additive' row records the product net at radius s * eps
-    against the summed block bound; the 'scaling' row confirms the exact
-    (R, eps) vs (1, eps/R) size identity.
-    """
-    if not (0 < zeta < 2):
-        raise ValueError(f"zeta must lie in (0, 2), got {zeta}")
-    P = np.asarray(points, dtype=float)
-    s = layout.n_blocks
-    slices = layout.slices()
-    rows: list[dict] = []
-    for eps in eps_grid:
-        block_logs = []
-        nets = []
-        for j, (spec, sl) in enumerate(zip(spec_components, slices)):
-            net = cover_ball(spec, P[:, sl], R, eps, seed=seed + j, n_samples=n_samples)
-            nets.append(net)
-            bound = c_zeta * (R / eps) ** zeta
-            block_logs.append(net.log_size)
-            rows.append(
-                {
-                    "eps": eps,
-                    "block_id": str(j),
-                    "log_count": net.log_size,
-                    "bound": bound,
-                    "pass": net.log_size <= bound,
-                }
-            )
-        combined = additive_net(nets, full_points=P)
-        log_total = float(np.log(combined.size))
-        sum_bound = s * c_zeta * (R / eps) ** zeta
-        rows.append(
-            {
-                "eps": eps,
-                "block_id": "additive",
-                "log_count": log_total,
-                # exact by construction: log of the product equals the sum
-                "bound": float(sum(block_logs)),
-                "pass": abs(log_total - sum(block_logs)) <= 1e-12 and log_total <= sum_bound,
-            }
-        )
-        rescaled = cover_ball(
-            spec_components[0], P[:, slices[0]], 1.0, eps / R, seed=seed, n_samples=n_samples
-        )
-        rows.append(
-            {
-                "eps": eps,
-                "block_id": "scaling",
-                "log_count": nets[0].log_size,
-                "bound": rescaled.log_size,
-                "pass": nets[0].size == rescaled.size,
-            }
-        )
-    return rows
+        diffs = V[:, None, :] - net.centers[None, start : start + step, :]
+        norms = np.linalg.norm(diffs, axis=2)
+        j = np.argmin(norms, axis=1)
+        near = norms[rows, j]
+        closer = near < best
+        index[closer] = start + j[closer]
+        best[closer] = near[closer]
+    return index, best / np.sqrt(V.shape[1])

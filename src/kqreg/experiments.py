@@ -39,8 +39,8 @@ __all__ = [
     "conditional_excess",
     "rate_experiment",
     "fit_slope",
-    "product_norm_series",
     "product_norm_partial_sums",
+    "series_lower_bounds",
     "bump_membership_report",
 ]
 
@@ -288,8 +288,10 @@ def _run_job(args) -> dict:
 def rate_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     """Run the full (kernel, n, seed) grid and fit log-log slopes.
 
-    Jobs are independent and deterministic (per-job seeds are derived from
-    the job coordinates), so worker count does not affect the results.
+    A kernel with fewer than three usable n-values gets a notice instead of
+    a slope and is left out of ``summaries``.  Jobs are independent and
+    deterministic (per-job seeds are derived from the job coordinates), so
+    worker count does not affect the results.
     """
     jobs = [
         (spec, name, kspec, beta, kidx, n, seed)
@@ -327,7 +329,10 @@ def rate_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
                     if r["kernel"] == name and r["n"] == n and np.isfinite(r["excess"])]
             if vals:
                 per_n.append((n, float(np.mean(vals))))
-        summaries[name] = fit_slope(per_n)
+        try:
+            summaries[name] = fit_slope(per_n)
+        except ValueError as err:
+            notices.append(f"{name}: no slope fitted ({err})")
     return ExperimentResult(rows=rows, raw_rows=raw_rows, summaries=summaries, notices=notices)
 
 
@@ -344,14 +349,11 @@ def product_norm_partial_sums(M: int) -> np.ndarray:
     return np.cumsum(terms)
 
 
-def product_norm_series(M: int) -> tuple[float, float]:
-    """(S_M, divergent lower bound 1 + (2 sqrt(pi)/e^2) sum_{m<=M} m^(-1/2))."""
-    sums = product_norm_partial_sums(M)
-    if M == 0:
-        return float(sums[-1]), 1.0
+def series_lower_bounds(M: int) -> np.ndarray:
+    """Divergent lower bounds 1 + (2 sqrt(pi)/e^2) sum_{k<=m} k^(-1/2) on the
+    partial sums S_m, for m = 1..M."""
     ms = np.arange(1, M + 1, dtype=float)
-    lower = 1.0 + 2.0 * math.sqrt(math.pi) / math.e**2 * float(np.sum(ms**-0.5))
-    return float(sums[-1]), lower
+    return 1.0 + 2.0 * math.sqrt(math.pi) / math.e**2 * np.cumsum(ms**-0.5)
 
 
 def bump_membership_report(sigma: float, grid_m: int) -> dict:
@@ -370,8 +372,7 @@ def bump_membership_report(sigma: float, grid_m: int) -> dict:
     checkpoints = sorted({1, 10, 100, 1000, grid_m})
     checkpoints = [m for m in checkpoints if m <= grid_m]
     sums = product_norm_partial_sums(grid_m)
-    ms = np.arange(1, grid_m + 1, dtype=float)
-    lower = 1.0 + 2.0 * math.sqrt(math.pi) / math.e**2 * np.cumsum(ms**-0.5)
+    lower = series_lower_bounds(grid_m)
     table = [
         {"M": m, "partial_sum": float(sums[m]), "lower_bound": float(lower[m - 1])}
         for m in checkpoints

@@ -6,13 +6,9 @@ there, the convention only matters for derivative bookkeeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "PinballLoss",
-    "RiskValue",
     "pinball",
     "shifted_pinball",
     "clip",
@@ -25,31 +21,6 @@ def _check_tau(tau: float) -> float:
     if not (0.0 < tau < 1.0):
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
     return tau
-
-
-@dataclass(frozen=True)
-class PinballLoss:
-    """Quantile check loss at level tau; Lipschitz constant max(tau, 1-tau)."""
-
-    tau: float
-
-    def __post_init__(self):
-        _check_tau(self.tau)
-
-    @property
-    def lipschitz(self) -> float:
-        return max(self.tau, 1.0 - self.tau)
-
-    def __call__(self, y, t):
-        return pinball(self.tau, y, t)
-
-
-@dataclass(frozen=True)
-class RiskValue:
-    """A (possibly negative, for the shifted loss) averaged risk."""
-
-    value: float
-    total_weight: float
 
 
 def pinball(tau: float, y, t):
@@ -76,7 +47,7 @@ def clip(bound: float, t):
     return float(out) if out.ndim == 0 else out
 
 
-def empirical_risk(tau: float, predictions, data, use_shifted: bool = False) -> RiskValue:
+def empirical_risk(tau: float, predictions, data) -> float:
     """Weighted mean pinball risk of ``predictions`` on ``data``.
 
     ``data`` is a :class:`kqreg.solver.DataSet`; with uniform weights this is
@@ -89,6 +60,4 @@ def empirical_risk(tau: float, predictions, data, use_shifted: bool = False) -> 
     if t.shape != y.shape:
         raise ValueError(f"got {t.shape} predictions for {y.shape} responses")
     w = data.weight_vector()
-    losses = shifted_pinball(tau, y, t) if use_shifted else pinball(tau, y, t)
-    total = float(np.sum(w))
-    return RiskValue(value=float(np.sum(w * losses) / total), total_weight=total)
+    return float(np.sum(w * pinball(tau, y, t)) / np.sum(w))

@@ -36,11 +36,15 @@ __all__ = [
     "FitOptions",
     "Model",
     "ConvergenceError",
+    "read_inputs",
     "fit",
-    "predict",
     "duality_gap",
     "objective",
 ]
+
+# weights of a DataSet or a spectral.DiscreteMeasure must sum to 1 within this
+WEIGHT_SUM_TOL = 1e-9
+
 
 class ConvergenceError(RuntimeError):
     """Raised when the duality gap did not reach tolerance; carries the smallest gap."""
@@ -81,7 +85,7 @@ class DataSet:
                 raise ValueError(f"weights {w.shape} do not match responses {y.shape}")
             if np.any(w < 0) or not np.all(np.isfinite(w)):
                 raise ValueError("weights must be finite and nonnegative")
-            if abs(w.sum() - 1.0) > 1e-9:
+            if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
                 raise ValueError(f"weights must sum to 1, got {w.sum()}")
             object.__setattr__(self, "weights", w)
 
@@ -101,23 +105,12 @@ class DataSet:
     @classmethod
     def from_csv(cls, path) -> "DataSet":
         """Read 'x1,...,xd,y[,w]' rows."""
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise ValueError(f"{path}: empty file")
-            header = [h.strip() for h in header]
-            rows = [[float(v) for v in row] for row in reader if row]
+        header, arr = _read_csv(path)
         has_w = header[-1] == "w"
         y_col = len(header) - (2 if has_w else 1)
         expected = [f"x{i + 1}" for i in range(y_col)] + ["y"] + (["w"] if has_w else [])
         if header != expected:
             raise ValueError(f"{path}: expected header {','.join(expected)}, got {','.join(header)}")
-        if not rows:
-            raise ValueError(f"{path}: no data rows")
-        arr = np.asarray(rows, dtype=float)
-        if arr.shape[1] != len(header):
-            raise ValueError(f"{path}: rows have {arr.shape[1]} fields, header has {len(header)}")
         return cls(
             inputs=arr[:, :y_col],
             responses=arr[:, y_col],
@@ -136,6 +129,35 @@ class DataSet:
                 if self.weights is not None:
                     row.append(repr(float(self.weights[i])))
                 writer.writerow(row)
+
+
+def _read_csv(path) -> tuple[list[str], np.ndarray]:
+    """Stripped header and the rows as floats, one field per header column."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        header = [h.strip() for h in header]
+        rows = [[float(v) for v in row] for row in reader if row]
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    arr = np.asarray(rows, dtype=float)
+    if arr.shape[1] != len(header):
+        raise ValueError(f"{path}: rows have {arr.shape[1]} fields, header has {len(header)}")
+    return header, arr
+
+
+def read_inputs(path, d: int) -> np.ndarray:
+    """Input rows of a CSV whose header is 'x1,...,xd[,y[,w]]'; y and w are ignored."""
+    header, arr = _read_csv(path)
+    xs = [f"x{i + 1}" for i in range(d)]
+    if header not in (xs, xs + ["y"], xs + ["y", "w"]):
+        raise ValueError(f"{path}: expected header {','.join(xs)}[,y[,w]], got {','.join(header)}")
+    X = arr[:, :d]
+    if not np.all(np.isfinite(X)):
+        raise ValueError(f"{path}: inputs contain non-finite entries")
+    return X
 
 
 @dataclass(frozen=True)
@@ -165,6 +187,7 @@ class Model:
     gap: float
 
     def predict(self, x) -> float | np.ndarray:
+        """Representer evaluation sum_i alpha_i k(x_i, x)."""
         X = np.asarray(x, dtype=float)
         single = X.ndim == 1
         if single:
@@ -195,7 +218,7 @@ class Model:
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
+            json.dump(self.to_dict(), fh)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Model":
@@ -333,11 +356,6 @@ def fit(
         )
     return Model(spec=spec, support=data.inputs, dual=u, alpha=alpha_u,
                  lam=lam, tau=tau, gap=gap)
-
-
-def predict(model: Model, x) -> float | np.ndarray:
-    """Representer evaluation sum_i alpha_i k(x_i, x)."""
-    return model.predict(x)
 
 
 def duality_gap(model: Model, data: DataSet) -> float:

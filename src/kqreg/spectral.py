@@ -49,7 +49,7 @@ class DiscreteMeasure:
             raise ValueError("support points must be finite")
         if np.any(w <= 0):
             raise ValueError("weights must be strictly positive")
-        if abs(w.sum() - 1.0) > 1e-12:
+        if abs(w.sum() - 1.0) > _solver.WEIGHT_SUM_TOL:
             raise ValueError(f"weights must sum to 1, got {w.sum()}")
         object.__setattr__(self, "points", X)
         object.__setattr__(self, "weights", w)

@@ -139,9 +139,7 @@ def verify_capacity(
         # nearest-product-center distance from above
         combined = np.zeros_like(added)
         for net, vals in zip(nets, block_samples):
-            idx = np.argmin(
-                np.linalg.norm(vals[:, None, :] - net.centers[None, :, :], axis=2), axis=1
-            )
+            idx, _ = capacity.nearest_center(net, vals)
             combined += net.centers[idx]
         dists = np.linalg.norm(added - combined, axis=1) / math.sqrt(n_points)
         worst = float(dists.max())
@@ -165,8 +163,7 @@ def verify_series(seed: int = 0, M: int = 10000) -> tuple[list[dict], bool]:
         "pass": report["additive_norm"] == 1.0,
     }]
     sums = experiments.product_norm_partial_sums(M)
-    ms = np.arange(1, M + 1, dtype=float)
-    lower = 1.0 + 2.0 * math.sqrt(math.pi) / math.e**2 * np.cumsum(ms**-0.5)
+    lower = experiments.series_lower_bounds(M)
     margin = float(np.min(sums[1:] - lower))
     rows.append({"case": f"partial_sums_dominate_bound_M<={M}", "lhs": margin,
                  "rhs": 0.0, "pass": margin >= 0.0})

@@ -8,14 +8,14 @@ import pytest
 from kqreg.capacity import (
     EmpiricalNet,
     additive_net,
-    check_capacity_bound,
     cover_ball,
     empirical_distance,
-    nearest_center_distance,
+    nearest_center,
     sample_additive_ball,
     sample_ball_values,
 )
 from kqreg.kernels import BlockLayout, Gaussian
+from kqreg.verification import verify_capacity
 
 
 class TestEmpiricalDistance:
@@ -66,14 +66,14 @@ class TestCoverBall:
         rng = np.random.default_rng(7)
         vals = sample_ball_values(Gaussian(1.0), self.POINTS, 1.0, 4000, rng)
         net = cover_ball(Gaussian(1.0), self.POINTS, R=1.0, eps=0.25, seed=7, n_samples=4000)
-        dists = nearest_center_distance(net, vals)
+        _, dists = nearest_center(net, vals)
         assert dists.max() <= 0.7 * 0.25 + 1e-12  # built at margin * eps
 
     def test_fresh_samples_covered_at_claimed_radius(self):
         rng = np.random.default_rng(1234)
         net = cover_ball(Gaussian(1.0), self.POINTS, R=1.0, eps=0.125, seed=11)
         fresh = sample_ball_values(Gaussian(1.0), self.POINTS, 1.0, 1000, rng)
-        dists = nearest_center_distance(net, fresh)
+        _, dists = nearest_center(net, fresh)
         assert dists.max() <= net.radius
 
     def test_eps_must_be_positive(self):
@@ -132,9 +132,8 @@ class TestAdditiveCoverage:
         block_d = []
         combined = np.zeros_like(total)
         for net, vals in zip(nets, blocks):
-            diffs = np.linalg.norm(vals[:, None, :] - net.centers[None, :, :], axis=2)
-            idx = np.argmin(diffs, axis=1)
-            block_d.append(diffs[np.arange(len(vals)), idx] / math.sqrt(m))
+            idx, dist = nearest_center(net, vals)
+            block_d.append(dist)
             combined += net.centers[idx]
         direct = np.linalg.norm(total - combined, axis=1) / math.sqrt(m)
         assert np.all(direct <= block_d[0] + block_d[1] + 1e-12)
@@ -146,40 +145,37 @@ class TestAdditiveCoverage:
             for j, spec in enumerate(self.SPECS)
         ]
         combo = additive_net(nets, full_points=self.POINTS)
-        dists = nearest_center_distance(combo, sum(blocks))
+        _, dists = nearest_center(combo, sum(blocks))
         assert dists.max() <= 2 * 0.25
+
+
+class TestNearestCenter:
+    def test_matches_brute_force_across_center_chunks(self):
+        # 2000 x 1000 values make the search take two centers per chunk
+        rng = np.random.default_rng(31)
+        centers = rng.normal(size=(7, 1000))
+        centers[5] = centers[3]  # a tie across chunks keeps the first index
+        values = centers[rng.integers(0, 7, size=2000)] + 0.1 * rng.normal(size=(2000, 1000))
+        net = EmpiricalNet(centers=centers, radius=1.0, points=np.zeros((1000, 1)))
+        idx, dist = nearest_center(net, values)
+        brute = np.stack([np.linalg.norm(values - c, axis=1) for c in centers], axis=1)
+        np.testing.assert_array_equal(idx, np.argmin(brute, axis=1))
+        assert not np.any(idx == 5)
+        np.testing.assert_array_equal(dist, brute.min(axis=1) / math.sqrt(1000))
 
 
 class TestCapacityReport:
     def test_report_rows(self):
-        rng = np.random.default_rng(23)
-        points = rng.random((8, 2))
-        rows = check_capacity_bound(
-            [Gaussian(1.0), Gaussian(1.0)], BlockLayout([1, 1]), points,
-            R=1.0, eps_grid=[0.5, 0.25], c_zeta=5.0, zeta=1.0,
-            seed=0, n_samples=4000,
-        )
-        by_kind = {}
+        rows, passed = verify_capacity(seed=0, eps_grid=(0.5, 0.25), n_fresh=200)
+        assert passed
+        assert [row["block_id"] for row in rows] == ["coverage", "additive"] * 2
         for row in rows:
-            by_kind.setdefault(row["block_id"], []).append(row)
-        assert set(by_kind) == {"0", "1", "additive", "scaling"}
-        for row in by_kind["additive"]:
-            assert row["pass"]  # product-count identity is exact
-        for row in by_kind["scaling"]:
-            assert row["pass"]  # homogeneity is exact by construction
+            if row["block_id"] == "coverage":
+                assert row["log_count"] <= row["bound"] == 2.0 * row["eps"]
+            else:  # product-count identity is exact
+                assert abs(row["log_count"] - row["bound"]) <= 1e-12
 
     def test_log_counts_decrease_with_eps(self):
-        rng = np.random.default_rng(29)
-        points = rng.random((8, 2))
-        rows = check_capacity_bound(
-            [Gaussian(1.0), Gaussian(1.0)], BlockLayout([1, 1]), points,
-            R=1.0, eps_grid=[0.5, 0.25, 0.125], c_zeta=5.0, zeta=1.0,
-            seed=0, n_samples=4000,
-        )
+        rows, _ = verify_capacity(seed=1, eps_grid=(0.5, 0.25, 0.125), n_fresh=200)
         adds = [r["log_count"] for r in rows if r["block_id"] == "additive"]
         assert adds == sorted(adds)
-
-    def test_zeta_range_enforced(self):
-        with pytest.raises(ValueError):
-            check_capacity_bound([Gaussian(1.0)], BlockLayout([1]), np.zeros((2, 1)),
-                                 R=1.0, eps_grid=[0.5], c_zeta=1.0, zeta=2.0)

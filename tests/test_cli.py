@@ -10,7 +10,7 @@ import pytest
 
 from kqreg.cli import main
 from kqreg.kernels import spec_to_dict, Gaussian, Additive, BlockLayout
-from kqreg.solver import DataSet
+from kqreg.solver import DataSet, Model
 
 
 def run_cli(*argv):
@@ -88,6 +88,42 @@ class TestFitPredict:
         assert rows[0] == ["prediction"]
         assert len(rows) == 26
 
+    @pytest.fixture()
+    def model3(self, tmp_path):
+        rng = np.random.default_rng(1)
+        X = rng.random((15, 3))
+        data_path = tmp_path / "train3.csv"
+        DataSet(inputs=X, responses=X.sum(axis=1)).to_csv(data_path)
+        kernel_path = tmp_path / "kernel3.json"
+        kernel_path.write_text(json.dumps(spec_to_dict(Gaussian(1.0))))
+        model_path = tmp_path / "model3.json"
+        assert run_cli("fit", "--data", str(data_path), "--kernel", str(kernel_path),
+                       "--lambda", "0.1", "--tau", "0.5", "--out", str(model_path)) == 0
+        return model_path, rng.random((4, 3)), tmp_path
+
+    def test_predict_reads_inputs_only(self, model3):
+        model_path, X, tmp = model3
+        expected = Model.load(model_path).predict(X)
+        # trailing y and w columns are read past and ignored
+        for header, tail in (("x1,x2,x3", ""), ("x1,x2,x3,y", ",0.0"), ("x1,x2,x3,y,w", ",0.0,0.25")):
+            data_path = tmp / "inputs.csv"
+            rows = [",".join(repr(float(v)) for v in x) + tail for x in X]
+            data_path.write_text("\n".join([header] + rows) + "\n")
+            pred_path = tmp / "preds.csv"
+            assert run_cli("predict", "--model", str(model_path), "--data", str(data_path),
+                           "--out", str(pred_path)) == 0, header
+            got = [float(r[0]) for r in read_csv(pred_path)[1:]]
+            np.testing.assert_array_equal(got, expected)
+
+    def test_predict_bad_header_is_input_error(self, model3):
+        model_path, _, tmp = model3
+        for header in ("x1,x2", "x1,x2,y", "x1,x3,x2", "x1,x2,x3,w", "x1,x2,x3,x4"):
+            fields = len(header.split(","))
+            data_path = tmp / "inputs.csv"
+            data_path.write_text(header + "\n" + ",".join(["0.5"] * fields) + "\n")
+            assert run_cli("predict", "--model", str(model_path), "--data", str(data_path),
+                           "--out", str(tmp / "preds.csv")) == 2, header
+
     def test_fit_nonconvergence_exit_code(self, artifacts):
         data_path, kernel_path, tmp = artifacts
         code = run_cli("fit", "--data", str(data_path), "--kernel", str(kernel_path),
@@ -162,20 +198,24 @@ class TestVerify:
 
 
 class TestExperimentCommand:
-    def test_tiny_experiment(self, tmp_path):
+    @staticmethod
+    def tiny_spec(**kw):
         from kqreg.experiments import ExperimentSpec, BlockTarget
         from kqreg.kernels import Additive, BlockLayout, Gaussian, Product
 
         lay = BlockLayout([1, 1])
-        spec = ExperimentSpec(
+        return ExperimentSpec(
             layout=lay,
             targets=(BlockTarget(kind="kernel_bump", center=0.3),
                      BlockTarget(kind="kernel_bump", center=0.7)),
             noise_halfwidth=0.5, tau=0.5,
             kernel_a=Additive(lay, [Gaussian(1.0), Gaussian(1.0)]),
             kernel_b=Product(lay, [Gaussian(1.0), Gaussian(1.0)]),
-            n_grid=(20, 40, 80), beta=1.0, seeds=(0,), risk_eval=500,
+            n_grid=(20, 40, 80), beta=1.0, seeds=(0,), risk_eval=500, **kw,
         )
+
+    def test_tiny_experiment(self, tmp_path):
+        spec = self.tiny_spec()
         config = tmp_path / "config.json"
         config.write_text(json.dumps(spec.to_dict()))
         out_dir = tmp_path / "results"
@@ -187,6 +227,19 @@ class TestExperimentCommand:
         summary = read_csv(out_dir / "summary.csv")
         assert summary[0] == ["kernel", "slope", "intercept", "r2"]
         assert read_csv(out_dir / "results_raw.csv")[0] == results[0]
+
+    def test_missing_slope_keeps_finished_jobs(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(self.tiny_spec(max_epochs=1).to_dict()))
+        out_dir = tmp_path / "results"
+        assert run_cli("experiment", "--config", str(config),
+                       "--out-dir", str(out_dir)) == 3
+        results = read_csv(out_dir / "results.csv")
+        assert sorted((r[0], r[1]) for r in results[1:]) == sorted(
+            (k, n) for k in ("additive", "product") for n in ("20", "40", "80"))
+        assert len(read_csv(out_dir / "results_raw.csv")) == 7
+        assert read_csv(out_dir / "summary.csv") == [["kernel", "slope", "intercept", "r2"]]
+        assert "no slope fitted" in capsys.readouterr().err
 
 
 class TestShell:

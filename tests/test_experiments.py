@@ -14,8 +14,8 @@ from kqreg.experiments import (
     fit_slope,
     generate,
     product_norm_partial_sums,
-    product_norm_series,
     rate_experiment,
+    series_lower_bounds,
     target_values,
     true_excess_risk,
 )
@@ -195,11 +195,12 @@ class TestNormSeries:
         ms = np.arange(1, M + 1, dtype=float)
         lower = 1.0 + 2.0 * math.sqrt(math.pi) / math.e**2 * np.cumsum(ms**-0.5)
         assert np.all(sums[1:] >= lower)
+        np.testing.assert_array_equal(series_lower_bounds(M), lower)
 
     def test_asymptotic_value(self):
-        s, lower = product_norm_series(10000)
+        s = product_norm_partial_sums(10000)[-1]
         assert s == pytest.approx(2.0 * math.sqrt(10000 / math.pi), rel=0.02)
-        assert s >= lower
+        assert s >= series_lower_bounds(10000)[-1]
 
     def test_crosses_100(self):
         sums = product_norm_partial_sums(10000)

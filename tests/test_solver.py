@@ -1,5 +1,6 @@
 """Solver correctness against independent oracles, plus its invariants."""
 
+import json
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from kqreg.solver import (
     fit,
     objective,
 )
+from kqreg.spectral import DiscreteMeasure
 from kqreg.verification import dual_grid_oracle
 
 SPEC = Gaussian(sigma=1.0)
@@ -274,6 +276,16 @@ class TestValidationAndIO:
             DataSet(inputs=np.zeros((2, 1)), responses=np.zeros(2),
                     weights=np.array([1.1, -0.1]))
 
+    def test_weight_sum_tolerance_shared(self):
+        # DataSet and DiscreteMeasure accept and refuse the same weight sums
+        near, far = np.array([0.5, 0.5 + 5e-10]), np.array([0.5, 0.5 + 2e-9])
+        DataSet(inputs=np.zeros((2, 1)), responses=np.zeros(2), weights=near)
+        DiscreteMeasure(points=np.zeros((2, 1)), weights=near)
+        with pytest.raises(ValueError):
+            DataSet(inputs=np.zeros((2, 1)), responses=np.zeros(2), weights=far)
+        with pytest.raises(ValueError):
+            DiscreteMeasure(points=np.zeros((2, 1)), weights=far)
+
     def test_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(12)
         w = rng.uniform(0.1, 1.0, size=6)
@@ -293,6 +305,9 @@ class TestValidationAndIO:
         path.write_text("a,b,y\n1,2,3\n")
         with pytest.raises(ValueError):
             DataSet.from_csv(path)
+        path.write_text("\n1,2,3\n")  # blank header line
+        with pytest.raises(ValueError):
+            DataSet.from_csv(path)
 
     def test_model_json_round_trip(self, tmp_path):
         rng = np.random.default_rng(13)
@@ -307,6 +322,17 @@ class TestValidationAndIO:
         assert back.lam == model.lam and back.tau == model.tau
         grid = rng.random((20, 2))
         np.testing.assert_allclose(back.predict(grid), model.predict(grid), atol=1e-15)
+        assert "\n" not in path.read_text()  # compact: one line
+
+    def test_indented_model_file_loads(self, tmp_path):
+        rng = np.random.default_rng(15)
+        data = DataSet(inputs=rng.random((8, 2)), responses=rng.normal(size=8))
+        model = fit(SPEC, data, lam=0.1, tau=0.6)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model.to_dict(), indent=2))
+        back = Model.load(path)
+        assert np.array_equal(back.alpha, model.alpha)
+        assert np.array_equal(back.dual, model.dual)
 
     def test_weighted_model_recertifies_after_load(self, tmp_path):
         rng = np.random.default_rng(14)
