@@ -92,6 +92,8 @@ class KernelSpec:
         raise NotImplementedError
 
     def _check_dim(self, d: int) -> None:
+        if d < 1:
+            raise ValueError("points need at least one coordinate")
         want = self.dim()
         if want is not None and d != want:
             raise ValueError(f"kernel expects dimension {want}, got {d}")
@@ -118,12 +120,15 @@ class Gaussian(KernelSpec):
         return None
 
     def _cross(self, A, B):
-        # |a|^2 + |b|^2 - 2 a.b, then exp(-sq / sigma^2), bit for bit, with
-        # at most two m x n arrays live (predict's peak memory)
+        # sum_k (a_k - b_k)^2 in place: one m x n array live, exactly symmetric
+        # when A is B, and exactly 0 (so k = 1) on the diagonal
         with np.errstate(invalid="ignore"):  # non-finite inputs caught by callers
-            sq = -2.0 * (A @ B.T)
-            sq += np.sum(A * A, axis=1)[:, None] + np.sum(B * B, axis=1)[None, :]
-            np.maximum(sq, 0.0, out=sq)
+            sq = np.subtract.outer(A[:, 0], B[:, 0])
+            sq *= sq
+            for k in range(1, A.shape[1]):
+                diff = np.subtract.outer(A[:, k], B[:, k])
+                diff *= diff
+                sq += diff
             sq /= -self.sigma**2
             return np.exp(sq, out=sq)
 
@@ -235,9 +240,7 @@ def _as_points(points, spec: KernelSpec) -> np.ndarray:
         X = X[:, None]
     if X.ndim != 2 or X.shape[0] < 1:
         raise ValueError(f"expected an n x d point array, got shape {X.shape}")
-    want = spec.dim()
-    if want is not None and X.shape[1] != want:
-        raise ValueError(f"kernel expects dimension {want}, got {X.shape[1]}")
+    spec._check_dim(X.shape[1])
     return X
 
 
@@ -254,12 +257,11 @@ def cross_gram(spec: KernelSpec, points_a, points_b) -> np.ndarray:
 
 
 def gram(spec: KernelSpec, points) -> GramMatrix:
-    """Gram matrix K[i, l] = k(x_i, x_l), symmetrized against round-off."""
+    """Gram matrix K[i, l] = k(x_i, x_l); every spec computes it exactly symmetric."""
     X = _as_points(points, spec)
     K = spec._cross(X, X)
     if not np.all(np.isfinite(K)):
         raise ValueError("gram matrix has non-finite entries")
-    K = 0.5 * (K + K.T)
     return GramMatrix(entries=K, spec=spec, points=X)
 
 

@@ -45,6 +45,10 @@ __all__ = [
 # weights of a DataSet or a spectral.DiscreteMeasure must sum to 1 within this
 WEIGHT_SUM_TOL = 1e-9
 
+# Model.predict evaluates the cross-Gram this many entries (2 MB) at a time,
+# so a block stays in cache and memory does not grow with the rows predicted
+PREDICT_BLOCK_ENTRIES = 2**18
+
 
 class ConvergenceError(RuntimeError):
     """Raised when the duality gap did not reach tolerance; carries the smallest gap."""
@@ -73,6 +77,8 @@ class DataSet:
         y = np.asarray(self.responses, dtype=float).ravel()
         if X.ndim != 2 or X.shape[0] != y.shape[0]:
             raise ValueError(f"inputs {X.shape} do not match responses {y.shape}")
+        if X.shape[1] < 1:
+            raise ValueError("dataset needs at least one input column")
         if X.shape[0] < 1:
             raise ValueError("dataset must contain at least one point")
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
@@ -187,13 +193,15 @@ class Model:
     gap: float
 
     def predict(self, x) -> float | np.ndarray:
-        """Representer evaluation sum_i alpha_i k(x_i, x)."""
+        """Representer evaluation sum_i alpha_i k(x_i, x), in blocks of rows."""
         X = np.asarray(x, dtype=float)
         single = X.ndim == 1
-        if single:
-            X = X[None, :]
-        K = cross_gram(self.spec, X, self.support)
-        out = K @ self.alpha
+        X = kernels._as_points(X[None, :] if single else X, self.spec)
+        rows = max(1, PREDICT_BLOCK_ENTRIES // self.support.shape[0])
+        out = np.concatenate([
+            cross_gram(self.spec, X[start:start + rows], self.support) @ self.alpha
+            for start in range(0, X.shape[0], rows)
+        ])
         return float(out[0]) if single else out
 
     def norm_sq(self) -> float:

@@ -8,6 +8,7 @@ given seed; the CLI exposes them under ``kqreg verify <suite>``.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -42,12 +43,18 @@ def dual_grid_oracle(
     lo, hi = -tau, 1.0 - tau
 
     def grid_max(axes):
-        mesh = np.meshgrid(*axes, indexing="ij")
-        U = np.stack([m.ravel() for m in mesh], axis=1)
-        C = U * w[None, :]
-        vals = -C @ y - np.einsum("ij,ij->i", C @ K, C) / (4.0 * lam)
-        best = int(np.argmax(vals))
-        return float(vals[best]), U[best]
+        # one slab per value of the first coordinate, in grid order; the strict
+        # > keeps the first maximum, as one argmax over the whole grid would
+        rest = np.array(list(itertools.product(*axes[1:])), dtype=float)  # (k, n - 1)
+        best_val, best_u = -np.inf, None
+        for u0 in axes[0]:
+            U = np.column_stack([np.full(rest.shape[0], u0), rest])
+            C = U * w[None, :]
+            vals = -C @ y - np.einsum("ij,ij->i", C @ K, C) / (4.0 * lam)
+            best = int(np.argmax(vals))
+            if vals[best] > best_val:
+                best_val, best_u = float(vals[best]), U[best]
+        return best_val, best_u
 
     coarse_axes = [np.linspace(lo, hi, steps)] * n
     best_val, best_u = grid_max(coarse_axes)

@@ -153,6 +153,17 @@ class TestFitPredict:
                        "--lambda", repr(1600.0 ** (-4.0 / 3.0)), "--tau", "0.5",
                        "--out", str(tmp_path / "m.json")) == 0
 
+    def test_fit_without_input_columns_is_input_error(self, artifacts):
+        _, _, tmp = artifacts
+        kernel_path = tmp / "gaussian.json"  # accepts any input width
+        kernel_path.write_text(json.dumps(spec_to_dict(Gaussian(1.0))))
+        for text in ("y\n1.0\n2.0\n", "y,w\n1.0,0.5\n2.0,0.5\n"):
+            data_path = tmp / "no_inputs.csv"
+            data_path.write_text(text)
+            code = run_cli("fit", "--data", str(data_path), "--kernel", str(kernel_path),
+                           "--lambda", "0.1", "--tau", "0.5", "--out", str(tmp / "m.json"))
+            assert code == 2, text
+
     def test_missing_data_file_is_input_error(self, artifacts):
         _, kernel_path, tmp = artifacts
         code = run_cli("fit", "--data", str(tmp / "nope.csv"), "--kernel", str(kernel_path),

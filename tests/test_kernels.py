@@ -1,6 +1,7 @@
 """Kernel evaluation, Gram construction, composition, and expansion norms."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -117,6 +118,39 @@ class TestGram:
     def test_non_finite_input_rejected(self):
         with pytest.raises(ValueError):
             gram(Gaussian(1.0), [[np.inf], [0.0]])
+
+    def test_zero_width_points_rejected(self):
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            gram(Gaussian(1.0), np.zeros((3, 0)))
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            cross_gram(Gaussian(1.0), np.zeros((3, 0)), np.zeros((2, 0)))
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            Gaussian(1.0).eval([], [])
+
+    def test_gaussian_matches_per_coordinate_formula(self):
+        rng = np.random.default_rng(6)
+        for d in range(1, 5):
+            for sigma in (0.3, 1.0, 2.5):
+                A, B = rng.normal(size=(6, d)), rng.normal(size=(5, d))
+                K = cross_gram(Gaussian(sigma), A, B)
+                for i in range(6):
+                    for j in range(5):
+                        sq = sum((A[i, k] - B[j, k]) ** 2 for k in range(d))
+                        assert abs(K[i, j] - math.exp(-sq / sigma**2)) <= 1e-15, (d, sigma)
+
+    def test_compositions_exactly_symmetric_with_unit_gaussian_diagonal(self):
+        rng = np.random.default_rng(7)
+        lay = BlockLayout([1, 2, 1])
+        gaussians = [Gaussian(1.0), Gaussian(0.5), Gaussian(2.0)]
+        X = rng.normal(size=(40, 4))
+        for spec, diag in ((Additive(lay, gaussians), 3.0), (Product(lay, gaussians), 1.0)):
+            K = gram(spec, X).entries
+            assert np.array_equal(K, K.T), type(spec).__name__
+            assert np.all(np.diag(K) == diag), type(spec).__name__
+        mixed = [Gaussian(1.0), Gaussian(0.5), SobolevMin()]
+        for cls in (Additive, Product):
+            K = gram(cls(lay, mixed), rng.random((40, 4))).entries
+            assert np.array_equal(K, K.T), cls.__name__
 
     def test_cross_gram_matches_eval(self):
         rng = np.random.default_rng(5)

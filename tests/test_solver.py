@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from kqreg.kernels import Additive, BlockLayout, Gaussian, gram
+from kqreg import solver
+from kqreg.kernels import Additive, BlockLayout, Gaussian, cross_gram, gram
 from kqreg.loss import pinball
 from kqreg.solver import (
     ConvergenceError,
@@ -82,6 +83,30 @@ class TestSmallInstances:
             _, obj = objective(model, data)
             oracle = dual_grid_oracle(SPEC, data, lam, tau)
             assert obj <= oracle + 1e-3
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_grid_oracle_matches_one_search_over_the_whole_grid(self, n):
+        # the oracle searches the grid one slab at a time; here the whole grid
+        # is searched at once, which fits in memory for n <= 2
+        def grid_max(axes, K, data, lam):
+            U = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+            C = U * data.weight_vector()[None, :]
+            vals = -C @ data.responses - np.einsum("ij,ij->i", C @ K, C) / (4.0 * lam)
+            best = int(np.argmax(vals))
+            return float(vals[best]), U[best]
+
+        for rep in range(4):
+            rng = np.random.default_rng(10 * n + rep)
+            data = DataSet(inputs=rng.random((n, 2)), responses=rng.normal(size=n))
+            tau = float(rng.uniform(0.15, 0.85))
+            lam = float(rng.uniform(0.05, 1.0))
+            K = gram(SPEC, data.inputs).entries
+            lo, hi = -tau, 1.0 - tau
+            coarse, u = grid_max([np.linspace(lo, hi, 201)] * n, K, data, lam)
+            cell = (hi - lo) / 200
+            fine, _ = grid_max([np.linspace(max(lo, v - cell), min(hi, v + cell), 41) for v in u],
+                               K, data, lam)
+            assert dual_grid_oracle(SPEC, data, lam, tau) == max(coarse, fine)
 
     def test_matches_independent_box_qp_solver(self):
         rng = np.random.default_rng(42)
@@ -220,6 +245,37 @@ class TestPredict:
         K = gram(SPEC, data.inputs).entries
         np.testing.assert_allclose(model.predict(data.inputs), K @ model.alpha, atol=1e-10)
 
+    @pytest.fixture()
+    def blocked(self):
+        """A model whose row blocks are 4096 rows, and rows for three blocks and a short one."""
+        rng = np.random.default_rng(14)
+        spec = Additive(BlockLayout([1, 1]), [Gaussian(1.0), Gaussian(0.5)])
+        n = 64
+        assert solver.PREDICT_BLOCK_ENTRIES // n == 4096
+        model = Model(spec=spec, support=rng.random((n, 2)), dual=np.zeros(n),
+                      alpha=rng.normal(size=n), lam=1.0, tau=0.5, gap=0.0)
+        return model, rng.random((3 * 4096 + 1000, 2))
+
+    def test_blocked_predict_matches_one_cross_gram(self, blocked):
+        model, X = blocked
+        K = cross_gram(model.spec, X, model.support)
+        got = model.predict(X)
+        # both sides are the same dot products, summed in an order the BLAS
+        # picks per call: they agree within twice the dot-product error bound
+        bound = 2 * model.alpha.size * np.finfo(float).eps * (np.abs(K) @ np.abs(model.alpha))
+        assert got.shape == (X.shape[0],)
+        assert np.all(np.abs(got - K @ model.alpha) <= bound)
+        assert model.predict(X[-1]) == pytest.approx(got[-1], abs=bound[-1])
+        assert isinstance(model.predict(X[0]), float)
+
+    def test_blocked_predict_rejects_bad_rows(self, blocked):
+        model, X = blocked
+        X[-1, 1] = np.nan  # in the short last block
+        with pytest.raises(ValueError, match="non-finite"):
+            model.predict(X)
+        with pytest.raises(ValueError, match="expected an n x d point array"):
+            model.predict(np.zeros((0, 2)))
+
     def test_dimension_mismatch_rejected(self):
         data = DataSet(inputs=np.array([[0.3, 0.1]]), responses=np.array([1.0]))
         model = fit(SPEC, data, lam=0.5, tau=0.7, opts=TIGHT)
@@ -275,6 +331,8 @@ class TestValidationAndIO:
         with pytest.raises(ValueError):
             DataSet(inputs=np.zeros((2, 1)), responses=np.zeros(2),
                     weights=np.array([1.1, -0.1]))
+        with pytest.raises(ValueError, match="at least one input column"):
+            DataSet(inputs=np.zeros((2, 0)), responses=np.zeros(2))
 
     def test_weight_sum_tolerance_shared(self):
         # DataSet and DiscreteMeasure accept and refuse the same weight sums
