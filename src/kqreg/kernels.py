@@ -77,8 +77,7 @@ class KernelSpec:
         xp = np.atleast_1d(np.asarray(xp, dtype=float))
         if x.shape != xp.shape:
             raise ValueError(f"point dimensions differ: {x.shape} vs {xp.shape}")
-        self._check_dim(x.shape[0])
-        return float(self._cross(x[None, :], xp[None, :])[0, 0])
+        return float(self._cross(_as_points(x[None, :], self), _as_points(xp[None, :], self))[0, 0])
 
     def __call__(self, x, xp) -> float:
         return self.eval(x, xp)
@@ -91,15 +90,11 @@ class KernelSpec:
         """Required input dimension, or None if any dimension is accepted."""
         raise NotImplementedError
 
-    def _check_dim(self, d: int) -> None:
-        if d < 1:
-            raise ValueError("points need at least one coordinate")
-        want = self.dim()
-        if want is not None and d != want:
-            raise ValueError(f"kernel expects dimension {want}, got {d}")
-
     def _cross(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """Kernel matrix between rows of A (n x d) and rows of B (m x d)."""
+        """Kernel matrix between rows of A (n x d) and rows of B (m x d).
+
+        Points are finite (see ``_as_points``); ``B is A`` asks for a Gram matrix.
+        """
         raise NotImplementedError
 
 
@@ -120,17 +115,21 @@ class Gaussian(KernelSpec):
         return None
 
     def _cross(self, A, B):
-        # sum_k (a_k - b_k)^2 in place: one m x n array live, exactly symmetric
-        # when A is B, and exactly 0 (so k = 1) on the diagonal
-        with np.errstate(invalid="ignore"):  # non-finite inputs caught by callers
+        if A.shape[1] == 1:
+            # (a - b)^2: one pass, exactly symmetric for a Gram, and exactly 0
+            # (so k = 1) on its diagonal
             sq = np.subtract.outer(A[:, 0], B[:, 0])
             sq *= sq
-            for k in range(1, A.shape[1]):
-                diff = np.subtract.outer(A[:, k], B[:, k])
-                diff *= diff
-                sq += diff
-            sq /= -self.sigma**2
-            return np.exp(sq, out=sq)
+        else:
+            # |a|^2 + |b|^2 - 2 a.b: one dgemm and four passes whatever d is,
+            # where differences would take three passes per coordinate
+            sq = -2.0 * (A @ B.T)
+            sq += np.sum(A * A, axis=1)[:, None] + np.sum(B * B, axis=1)[None, :]
+            np.maximum(sq, 0.0, out=sq)
+            if B is A:  # the dgemm need not round a Gram symmetrically
+                sq = 0.5 * (sq + sq.T)
+        sq /= -self.sigma**2
+        return np.exp(sq, out=sq)
 
 
 @dataclass(frozen=True)
@@ -171,7 +170,8 @@ class _Composite(KernelSpec):
 
     def _block_crosses(self, A, B):
         for spec, sl in zip(self.components, self.layout.slices()):
-            yield spec._cross(A[:, sl], B[:, sl])
+            a = A[:, sl]
+            yield spec._cross(a, a if B is A else B[:, sl])
 
 
 @dataclass(frozen=True)
@@ -240,7 +240,13 @@ def _as_points(points, spec: KernelSpec) -> np.ndarray:
         X = X[:, None]
     if X.ndim != 2 or X.shape[0] < 1:
         raise ValueError(f"expected an n x d point array, got shape {X.shape}")
-    spec._check_dim(X.shape[1])
+    if X.shape[1] < 1:
+        raise ValueError("points need at least one coordinate")
+    want = spec.dim()
+    if want is not None and X.shape[1] != want:
+        raise ValueError(f"kernel expects dimension {want}, got {X.shape[1]}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("points have non-finite coordinates")
     return X
 
 
@@ -251,13 +257,14 @@ def cross_gram(spec: KernelSpec, points_a, points_b) -> np.ndarray:
     if A.shape[1] != B.shape[1]:
         raise ValueError("point sets have different dimensions")
     K = spec._cross(A, B)
+    # finite points can still overflow, e.g. a sum of 1 + min blocks at -1e308
     if not np.all(np.isfinite(K)):
         raise ValueError("kernel matrix has non-finite entries")
     return K
 
 
 def gram(spec: KernelSpec, points) -> GramMatrix:
-    """Gram matrix K[i, l] = k(x_i, x_l); every spec computes it exactly symmetric."""
+    """Gram matrix K[i, l] = k(x_i, x_l), exactly symmetric."""
     X = _as_points(points, spec)
     K = spec._cross(X, X)
     if not np.all(np.isfinite(K)):

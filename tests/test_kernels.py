@@ -116,8 +116,21 @@ class TestGram:
                 assert np.linalg.eigvalsh(G).min() >= floor, name
 
     def test_non_finite_input_rejected(self):
-        with pytest.raises(ValueError):
-            gram(Gaussian(1.0), [[np.inf], [0.0]])
+        spec = Gaussian(1.0)
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="non-finite coordinates"):
+                gram(spec, [[bad], [0.0]])
+            with pytest.raises(ValueError, match="non-finite coordinates"):
+                cross_gram(spec, [[bad]], [[0.5]])
+            with pytest.raises(ValueError, match="non-finite coordinates"):
+                cross_gram(spec, [[0.5]], [[bad]])
+            with pytest.raises(ValueError, match="non-finite coordinates"):
+                spec.eval(bad, 0.5)
+
+    def test_overflow_from_finite_input_rejected(self):
+        spec = Additive(BlockLayout([1, 1]), [SobolevMin(), SobolevMin()])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite entries"):
+            cross_gram(spec, [[-1e308, -1e308]], [[0.5, 0.5]])
 
     def test_zero_width_points_rejected(self):
         with pytest.raises(ValueError, match="at least one coordinate"):
@@ -128,6 +141,9 @@ class TestGram:
             Gaussian(1.0).eval([], [])
 
     def test_gaussian_matches_per_coordinate_formula(self):
+        # 1-D inputs take (a - b)^2 directly; wider ones the expanded form,
+        # whose cancellation costs a few ulps of |a|^2 + |b|^2 in the exponent
+        eps = np.finfo(float).eps
         rng = np.random.default_rng(6)
         for d in range(1, 5):
             for sigma in (0.3, 1.0, 2.5):
@@ -136,21 +152,29 @@ class TestGram:
                 for i in range(6):
                     for j in range(5):
                         sq = sum((A[i, k] - B[j, k]) ** 2 for k in range(d))
-                        assert abs(K[i, j] - math.exp(-sq / sigma**2)) <= 1e-15, (d, sigma)
+                        want = math.exp(-sq / sigma**2)
+                        scale = 0.0 if d == 1 else (A[i] @ A[i] + B[j] @ B[j]) / sigma**2
+                        tol = 1e-15 + 8 * d * eps * scale * want
+                        assert abs(K[i, j] - want) <= tol, (d, sigma)
 
-    def test_compositions_exactly_symmetric_with_unit_gaussian_diagonal(self):
+    def test_grams_exactly_symmetric_with_unit_diagonal_on_1d_gaussians(self):
         rng = np.random.default_rng(7)
-        lay = BlockLayout([1, 2, 1])
-        gaussians = [Gaussian(1.0), Gaussian(0.5), Gaussian(2.0)]
-        X = rng.normal(size=(40, 4))
-        for spec, diag in ((Additive(lay, gaussians), 3.0), (Product(lay, gaussians), 1.0)):
+        one_d = [Gaussian(1.0), Gaussian(0.5), Gaussian(2.0)]
+        lay = BlockLayout([1, 1, 1])
+        X = rng.normal(size=(40, 3))
+        for spec, diag in ((Additive(lay, one_d), 3.0), (Product(lay, one_d), 1.0)):
             K = gram(spec, X).entries
             assert np.array_equal(K, K.T), type(spec).__name__
             assert np.all(np.diag(K) == diag), type(spec).__name__
-        mixed = [Gaussian(1.0), Gaussian(0.5), SobolevMin()]
-        for cls in (Additive, Product):
-            K = gram(cls(lay, mixed), rng.random((40, 4))).entries
-            assert np.array_equal(K, K.T), cls.__name__
+        # a Gaussian on a wider block is symmetrized; its diagonal is 1 up to round-off
+        lay = BlockLayout([1, 2, 1])
+        for third in (Gaussian(2.0), SobolevMin()):
+            for cls in (Additive, Product):
+                K = gram(cls(lay, [Gaussian(1.0), Gaussian(0.5), third]), rng.random((40, 4))).entries
+                assert np.array_equal(K, K.T), cls.__name__
+        K = gram(Gaussian(0.7), rng.normal(size=(60, 3))).entries
+        assert np.array_equal(K, K.T)
+        np.testing.assert_allclose(np.diag(K), 1.0, rtol=0, atol=1e-14)
 
     def test_cross_gram_matches_eval(self):
         rng = np.random.default_rng(5)

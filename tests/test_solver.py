@@ -270,9 +270,12 @@ class TestPredict:
 
     def test_blocked_predict_rejects_bad_rows(self, blocked):
         model, X = blocked
-        X[-1, 1] = np.nan  # in the short last block
-        with pytest.raises(ValueError, match="non-finite"):
-            model.predict(X)
+        for bad in (np.nan, np.inf, -np.inf):
+            X[-1, 1] = bad  # in the short last block
+            with pytest.raises(ValueError, match="non-finite"):
+                model.predict(X)
+            with pytest.raises(ValueError, match="non-finite"):
+                model.predict(X[-1])
         with pytest.raises(ValueError, match="expected an n x d point array"):
             model.predict(np.zeros((0, 2)))
 
