@@ -82,7 +82,8 @@ def _cmd_fit(args) -> int:
 def _cmd_predict(args) -> int:
     model = solver.Model.load(args.model)
     preds = model.predict(solver.read_inputs(args.data, model.support.shape[1]))
-    _write_csv(args.out, ["prediction"], [[repr(float(p))] for p in preds])
+    with open(args.out, "w", newline="") as fh:  # what csv.writer writes, one call
+        fh.write("prediction\r\n" + "".join(f"{p!r}\r\n" for p in preds.tolist()))
     print(f"wrote {len(preds)} predictions to {args.out}")
     return 0
 

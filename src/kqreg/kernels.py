@@ -36,6 +36,10 @@ __all__ = [
     "spec_from_dict",
 ]
 
+# Gaussian._cross adds each coordinate after the first this many entries
+# (256 kB) of rows at a time, so the difference block stays in cache
+DIFF_BLOCK_ENTRIES = 2**15
+
 
 @dataclass(frozen=True)
 class BlockLayout:
@@ -93,7 +97,7 @@ class KernelSpec:
     def _cross(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Kernel matrix between rows of A (n x d) and rows of B (m x d).
 
-        Points are finite (see ``_as_points``); ``B is A`` asks for a Gram matrix.
+        Points are finite (see ``_as_points``).
         """
         raise NotImplementedError
 
@@ -115,20 +119,20 @@ class Gaussian(KernelSpec):
         return None
 
     def _cross(self, A, B):
-        if A.shape[1] == 1:
-            # (a - b)^2: one pass, exactly symmetric for a Gram, and exactly 0
-            # (so k = 1) on its diagonal
+        # (a - b)^2 summed over coordinates: exactly symmetric for a Gram,
+        # exactly 0 (so k = 1) on its diagonal, and no |a|^2 is formed, so
+        # large finite points cannot overflow to inf - inf; a distance past
+        # the range is inf, and k = exp(-inf) = 0 is its limit
+        with np.errstate(over="ignore"):
             sq = np.subtract.outer(A[:, 0], B[:, 0])
             sq *= sq
-        else:
-            # |a|^2 + |b|^2 - 2 a.b: one dgemm and four passes whatever d is,
-            # where differences would take three passes per coordinate
-            sq = -2.0 * (A @ B.T)
-            sq += np.sum(A * A, axis=1)[:, None] + np.sum(B * B, axis=1)[None, :]
-            np.maximum(sq, 0.0, out=sq)
-            if B is A:  # the dgemm need not round a Gram symmetrically
-                sq = 0.5 * (sq + sq.T)
-        sq /= -self.sigma**2
+            rows = max(1, DIFF_BLOCK_ENTRIES // B.shape[0])
+            for k in range(1, A.shape[1]):
+                for start in range(0, A.shape[0], rows):
+                    diff = np.subtract.outer(A[start:start + rows, k], B[:, k])
+                    diff *= diff
+                    sq[start:start + rows] += diff
+        sq *= -1.0 / np.square(self.sigma)
         return np.exp(sq, out=sq)
 
 
@@ -170,8 +174,7 @@ class _Composite(KernelSpec):
 
     def _block_crosses(self, A, B):
         for spec, sl in zip(self.components, self.layout.slices()):
-            a = A[:, sl]
-            yield spec._cross(a, a if B is A else B[:, sl])
+            yield spec._cross(A[:, sl], B[:, sl])
 
 
 @dataclass(frozen=True)

@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
-from .kernels import KernelSpec, cross_gram, gram
+from .kernels import KernelSpec, gram
 from .loss import pinball
 
 __all__ = [
@@ -138,17 +139,22 @@ class DataSet:
 
 
 def _read_csv(path) -> tuple[list[str], np.ndarray]:
-    """Stripped header and the rows as floats, one field per header column."""
+    """Stripped header and the rows as floats, one field per header column.
+
+    The rows are parsed by numpy's C reader: fields may carry surrounding
+    whitespace or double quotes, blank lines are skipped, and every other
+    line must hold one number per header column.
+    """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None:
             raise ValueError(f"{path}: empty file")
         header = [h.strip() for h in header]
-        rows = [[float(v) for v in row] for row in reader if row]
-    if not rows:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no rows: refused below
+            arr = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2)
+    if arr.shape[0] == 0:
         raise ValueError(f"{path}: no data rows")
-    arr = np.asarray(rows, dtype=float)
     if arr.shape[1] != len(header):
         raise ValueError(f"{path}: rows have {arr.shape[1]} fields, header has {len(header)}")
     return header, arr
@@ -191,21 +197,43 @@ class Model:
     lam: float
     tau: float
     gap: float
+    # alpha' K alpha from fit's certificate; not written to model files
+    fit_norm_sq: float | None = field(default=None, repr=False, compare=False)
 
     def predict(self, x) -> float | np.ndarray:
-        """Representer evaluation sum_i alpha_i k(x_i, x), in blocks of rows."""
+        """Representer evaluation sum_i alpha_i k(x_i, x), in blocks of rows.
+
+        An additive model is reduced one component at a time: each block of
+        rows takes one dot product per row and component, so a row's value
+        does not depend on the other rows predicted with it.
+        """
         X = np.asarray(x, dtype=float)
         single = X.ndim == 1
         X = kernels._as_points(X[None, :] if single else X, self.spec)
+        if X.shape[1] != self.support.shape[1]:
+            raise ValueError("point sets have different dimensions")
+        if isinstance(self.spec, kernels.Additive):
+            parts = list(zip(self.spec.components, self.spec.layout.slices()))
+        else:
+            parts = [(self.spec, slice(None))]
         rows = max(1, PREDICT_BLOCK_ENTRIES // self.support.shape[0])
-        out = np.concatenate([
-            cross_gram(self.spec, X[start:start + rows], self.support) @ self.alpha
-            for start in range(0, X.shape[0], rows)
-        ])
+        out = np.zeros(X.shape[0])
+        for start in range(0, X.shape[0], rows):
+            Xb, acc = X[start:start + rows], out[start:start + rows]
+            for spec, sl in parts:
+                acc += np.vecdot(spec._cross(Xb[:, sl], self.support[:, sl]), self.alpha)
+        # a non-finite kernel entry leaves its row's dot product non-finite
+        if not np.all(np.isfinite(out)):
+            raise ValueError("predictions are non-finite")
         return float(out[0]) if single else out
 
     def norm_sq(self) -> float:
-        """Squared RKHS norm alpha' K alpha of the fitted function."""
+        """Squared RKHS norm alpha' K alpha of the fitted function.
+
+        A model returned by ``fit`` carries it; a loaded one rebuilds its Gram.
+        """
+        if self.fit_norm_sq is not None:
+            return self.fit_norm_sq
         K = gram(self.spec, self.support).entries
         return kernels.rkhs_norm_sq(self.alpha, K)
 
@@ -255,12 +283,12 @@ class Model:
 
 
 def _primal_dual(K, y, w, u, alpha, tau, lam):
-    """Exact primal objective (unshifted loss), dual objective, and gap."""
+    """Exact primal objective (unshifted loss), dual objective, gap, and alpha' K alpha."""
     f = K @ alpha
     reg = float(alpha @ f)
     primal = float(np.sum(w * pinball(tau, y, f)) + lam * reg)
     dual_obj = float(-np.sum(w * u * y) - lam * reg)
-    return primal, dual_obj, primal - dual_obj, f
+    return primal, dual_obj, primal - dual_obj, reg
 
 
 def _smoothed(r, h, tau):
@@ -293,11 +321,11 @@ def fit(
 
     def certify(u):
         alpha = -w * u / (2.0 * lam)
-        _, dual_obj, gap, _ = _primal_dual(K, y, w, u, alpha, tau, lam)
-        return alpha, gap, gap <= opts.gap_tol * (1.0 + abs(dual_obj))
+        _, dual_obj, gap, reg = _primal_dual(K, y, w, u, alpha, tau, lam)
+        return alpha, reg, gap, gap <= opts.gap_tol * (1.0 + abs(dual_obj))
 
     u = np.zeros_like(y)
-    alpha_u, gap, ok = certify(u)
+    alpha_u, reg, gap, ok = certify(u)
     best, steps, prev_band = gap, 0, None
     alpha, f = np.zeros_like(y), np.zeros_like(y)
     h = h0 = float(np.max(np.abs(y)))
@@ -341,7 +369,7 @@ def fit(
             prev_key, full_step = key, t == 1.0
 
         u = -psi
-        alpha_u, gap, ok = certify(u)
+        alpha_u, reg, gap, ok = certify(u)
         best = min(best, gap)
         if not ok and band.any() and np.array_equal(band, prev_band):
             # The band repeated across widths: take its h -> 0 limit, where band
@@ -353,7 +381,7 @@ def fit(
             rhs = -2.0 * lam * y[B] - K[np.ix_(B, N)] @ (w[N] * u[N]) - M @ u[B]
             u[B] += np.linalg.lstsq(M, rhs, rcond=None)[0]
             u = np.clip(u, -tau, 1.0 - tau)
-            alpha_u, gap, ok = certify(u)
+            alpha_u, reg, gap, ok = certify(u)
             best = min(best, gap)
         prev_band = band
         h /= 10.0
@@ -363,7 +391,7 @@ def fit(
             f"duality gap {best:.3e} above tolerance after {steps} Newton steps", gap=best
         )
     return Model(spec=spec, support=data.inputs, dual=u, alpha=alpha_u,
-                 lam=lam, tau=tau, gap=gap)
+                 lam=lam, tau=tau, gap=gap, fit_norm_sq=max(reg, 0.0))
 
 
 def duality_gap(model: Model, data: DataSet) -> float:

@@ -2,14 +2,16 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from kqreg.cli import main
-from kqreg.kernels import spec_to_dict, Gaussian, Additive, BlockLayout
+from kqreg.kernels import spec_to_dict, Gaussian, Additive, BlockLayout, gram, rkhs_norm_sq
 from kqreg.solver import DataSet, Model
 
 
@@ -114,6 +116,87 @@ class TestFitPredict:
                            "--out", str(pred_path)) == 0, header
             got = [float(r[0]) for r in read_csv(pred_path)[1:]]
             np.testing.assert_array_equal(got, expected)
+
+    def test_fit_prints_the_norm_of_a_fresh_gram(self, artifacts, capsys):
+        data_path, kernel_path, tmp = artifacts
+        model_path = tmp / "model.json"
+        assert run_cli("fit", "--data", str(data_path), "--kernel", str(kernel_path),
+                       "--lambda", "0.05", "--tau", "0.5", "--out", str(model_path)) == 0
+        printed = float(capsys.readouterr().out.split("norm=")[1].split(";")[0])
+        model = Model.load(model_path)
+        fresh = math.sqrt(rkhs_norm_sq(model.alpha, gram(model.spec, DataSet.from_csv(data_path).inputs)))
+        assert abs(printed - fresh) <= 5e-7
+
+    def test_predictions_file_is_what_csv_writer_wrote(self, model3):
+        model_path, X, tmp = model3
+        data_path, pred_path = tmp / "inputs.csv", tmp / "preds.csv"
+        data_path.write_text("x1,x2,x3\n" + "".join(",".join(map(repr, x)) + "\n" for x in X.tolist()))
+        assert run_cli("predict", "--model", str(model_path), "--data", str(data_path),
+                       "--out", str(pred_path)) == 0
+        preds = Model.load(model_path).predict(X)
+        want = "prediction\r\n" + "".join(repr(float(p)) + "\r\n" for p in preds)
+        assert pred_path.read_bytes() == want.encode()
+
+    def test_predict_on_a_subset_writes_the_full_files_lines(self, model3):
+        model_path, _, tmp = model3
+        X = np.random.default_rng(2).random((301, 3))
+        lines = {}
+        for name, rows in (("full", range(301)), ("subset", (0, 7, 150, 299, 300))):
+            data_path, pred_path = tmp / f"{name}.csv", tmp / f"{name}-preds.csv"
+            data_path.write_text("x1,x2,x3\n" + "".join(
+                ",".join(map(repr, X[i].tolist())) + "\n" for i in rows))
+            assert run_cli("predict", "--model", str(model_path), "--data", str(data_path),
+                           "--out", str(pred_path)) == 0
+            lines[name] = pred_path.read_bytes().splitlines(keepends=True)[1:]
+        assert lines["subset"] == [lines["full"][i] for i in (0, 7, 150, 299, 300)]
+
+    def test_reader_takes_the_csv_variants_it_always_took(self, model3):
+        model_path, X, tmp = model3
+        x = [[repr(v) for v in row] for row in X.tolist()]
+        variants = {
+            "plain": "x1,x2,x3\n" + "".join(",".join(r) + "\n" for r in x),
+            "whitespace": " x1 ,x2,\tx3\n" + "".join(" , ".join(r) + " \n" for r in x),
+            "blank lines": "x1,x2,x3\n\n" + "".join(",".join(r) + "\n\n" for r in x),
+            "crlf": "x1,x2,x3\r\n" + "".join(",".join(r) + "\r\n" for r in x),
+            "quoted": '"x1","x2","x3"\n' + "".join(",".join(f'"{v}"' for v in r) + "\n" for r in x),
+            "no final newline": "x1,x2,x3\n" + "\n".join(",".join(r) for r in x),
+        }
+        outputs = {}
+        for name, text in variants.items():
+            data_path, pred_path = tmp / "inputs.csv", tmp / "preds.csv"
+            data_path.write_text(text, newline="")
+            assert run_cli("predict", "--model", str(model_path), "--data", str(data_path),
+                           "--out", str(pred_path)) == 0, name
+            outputs[name] = pred_path.read_bytes()
+        assert all(out == outputs["plain"] for out in outputs.values())
+
+    def test_reader_refuses_bad_files_without_a_warning(self, model3):
+        model_path, _, tmp = model3
+        kernel_path = tmp / "kernel3.json"
+        bad = {
+            "ragged": "x1,x2,x3,y\n0.1,0.2,0.3,1.0\n0.1,0.2,0.3\n",
+            "too long": "x1,x2,x3,y\n0.1,0.2,0.3,1.0\n0.1,0.2,0.3,1.0,5\n",
+            "non-numeric": "x1,x2,x3,y\n0.1,abc,0.3,1.0\n",
+            "empty field": "x1,x2,x3,y\n0.1,,0.3,1.0\n",
+            "whitespace line": "x1,x2,x3,y\n0.1,0.2,0.3,1.0\n   \n",
+            "comment": "x1,x2,x3,y\n# note\n0.1,0.2,0.3,1.0\n",
+            "header only": "x1,x2,x3,y\n",
+            "blank rows only": "x1,x2,x3,y\n\n\n",
+            "empty": "",
+            # Python's float() took digit-group underscores; the C reader does not
+            "underscore": "x1,x2,x3,y\n1_0,0.2,0.3,1.0\n",
+        }
+        for name, text in bad.items():
+            data_path = tmp / "bad.csv"
+            data_path.write_text(text, newline="")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert run_cli("predict", "--model", str(model_path), "--data", str(data_path),
+                               "--out", str(tmp / "preds.csv")) == 2, name
+                assert run_cli("fit", "--data", str(data_path), "--kernel", str(kernel_path),
+                               "--lambda", "0.1", "--tau", "0.5",
+                               "--out", str(tmp / "m.json")) == 2, name
+            assert not caught, (name, [str(w.message) for w in caught])
 
     def test_predict_bad_header_is_input_error(self, model3):
         model_path, _, tmp = model3

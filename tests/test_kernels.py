@@ -141,8 +141,9 @@ class TestGram:
             Gaussian(1.0).eval([], [])
 
     def test_gaussian_matches_per_coordinate_formula(self):
-        # 1-D inputs take (a - b)^2 directly; wider ones the expanded form,
-        # whose cancellation costs a few ulps of |a|^2 + |b|^2 in the exponent
+        # every width sums the per-coordinate (a - b)^2 in this order; the
+        # tolerance was set for the expanded |a|^2 + |b|^2 - 2 a.b form that
+        # wider inputs once took, and is kept
         eps = np.finfo(float).eps
         rng = np.random.default_rng(6)
         for d in range(1, 5):
@@ -166,7 +167,7 @@ class TestGram:
             K = gram(spec, X).entries
             assert np.array_equal(K, K.T), type(spec).__name__
             assert np.all(np.diag(K) == diag), type(spec).__name__
-        # a Gaussian on a wider block is symmetrized; its diagonal is 1 up to round-off
+        # a Gaussian on a wider block sums (a - b)^2 over coordinates too
         lay = BlockLayout([1, 2, 1])
         for third in (Gaussian(2.0), SobolevMin()):
             for cls in (Additive, Product):
@@ -174,7 +175,13 @@ class TestGram:
                 assert np.array_equal(K, K.T), cls.__name__
         K = gram(Gaussian(0.7), rng.normal(size=(60, 3))).entries
         assert np.array_equal(K, K.T)
-        np.testing.assert_allclose(np.diag(K), 1.0, rtol=0, atol=1e-14)
+        assert np.all(np.diag(K) == 1.0)
+
+    def test_wide_gaussian_takes_large_finite_points(self):
+        # no |a|^2 is formed, so no inf - inf
+        K = gram(Gaussian(1.0), [[1e200, 0.0], [0.0, 0.0]]).entries
+        assert np.array_equal(K, np.eye(2))
+        assert np.array_equal(cross_gram(Gaussian(1.0), [[1e200, 1.0]], [[1e200, 1.0]]), [[1.0]])
 
     def test_cross_gram_matches_eval(self):
         rng = np.random.default_rng(5)

@@ -8,7 +8,9 @@ import pytest
 from scipy.optimize import minimize
 
 from kqreg import solver
-from kqreg.kernels import Additive, BlockLayout, Gaussian, cross_gram, gram
+from kqreg.kernels import (
+    Additive, BlockLayout, Gaussian, Product, SobolevMin, cross_gram, gram, rkhs_norm_sq,
+)
 from kqreg.loss import pinball
 from kqreg.solver import (
     ConvergenceError,
@@ -145,6 +147,19 @@ class TestInvariants:
             model = fit(SPEC, data, lam=lam, tau=tau, opts=TIGHT)
             bound = math.sqrt(np.max(np.abs(data.responses)) / lam)
             assert math.sqrt(model.norm_sq()) <= bound + 1e-6
+
+    def test_fit_carries_its_norm_and_a_loaded_model_rebuilds_it(self, tmp_path):
+        rng = np.random.default_rng(16)
+        data = DataSet(inputs=rng.random((30, 2)), responses=rng.normal(size=30))
+        model = fit(SPEC, data, lam=0.05, tau=0.3, opts=TIGHT)
+        fresh = rkhs_norm_sq(model.alpha, gram(SPEC, data.inputs))
+        assert model.fit_norm_sq == pytest.approx(fresh, rel=1e-12)
+        assert model.norm_sq() == model.fit_norm_sq
+        path = tmp_path / "model.json"
+        model.save(path)
+        back = Model.load(path)
+        assert back.fit_norm_sq is None
+        assert back.norm_sq() == fresh
 
     def test_norm_nonincreasing_in_lambda(self):
         rng = np.random.default_rng(2)
@@ -284,6 +299,49 @@ class TestPredict:
         model = fit(SPEC, data, lam=0.5, tau=0.7, opts=TIGHT)
         with pytest.raises(ValueError):
             model.predict(np.array([[0.1, 0.2, 0.3]]))
+
+    @pytest.mark.parametrize("spec", [
+        Additive(BlockLayout([1, 1, 1]), [Gaussian(0.5), Gaussian(1.0), SobolevMin()]),
+        Gaussian(0.7),
+        Product(BlockLayout([1, 2]), [SobolevMin(), Gaussian(1.3)]),
+    ], ids=["additive", "gaussian", "product"])
+    def test_rows_do_not_depend_on_the_batch(self, spec):
+        rng = np.random.default_rng(15)
+        n = 63  # odd, so rows of a block start at every alignment
+        rows = solver.PREDICT_BLOCK_ENTRIES // n
+        model = Model(spec=spec, support=rng.random((n, 3)), dual=np.zeros(n),
+                      alpha=rng.normal(size=n), lam=1.0, tau=0.5, gap=0.0)
+        X = rng.random((2 * rows + 17, 3))  # two full blocks and a short one
+        full = model.predict(X)
+        for i in (0, 1, rows - 1, rows, 2 * rows, 2 * rows + 16):
+            assert model.predict(X[i]) == full[i], i
+        for start in (3, rows - 2, 2 * rows + 11):
+            assert np.array_equal(model.predict(X[start:start + 5]), full[start:start + 5])
+        # a copy starting one float past an aligned buffer
+        shifted = np.empty(X.size + 1)[1:].reshape(X.shape)
+        shifted[:] = X
+        assert np.array_equal(model.predict(shifted[rows - 3:]), full[rows - 3:])
+
+    def test_non_finite_predictions_refused(self):
+        # finite rows whose kernel values overflow: a product of 1 + min blocks,
+        # with a zero coefficient as well, and an additive sum past the range
+        lay = BlockLayout([1, 1])
+        support = np.array([[0.5, 0.5], [0.2, 0.3]])
+        cases = [
+            (Product(lay, [SobolevMin(), SobolevMin()]), [1.0, 2.0]),
+            (Product(lay, [SobolevMin(), SobolevMin()]), [0.0, 1.0]),
+            (Additive(lay, [SobolevMin(), SobolevMin()]), [1.0, 0.0]),
+        ]
+        for spec, alpha in cases:
+            model = Model(spec=spec, support=support, dual=np.zeros(2),
+                          alpha=np.array(alpha), lam=1.0, tau=0.5, gap=0.0)
+            assert np.isfinite(model.predict([0.1, 0.9]))
+            X = np.array([[0.1, 0.9], [-1e308, -1e308]])
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(ValueError, match="non-finite"):
+                    model.predict(X)
+                with pytest.raises(ValueError, match="non-finite"):
+                    model.predict(X[1])
 
 
 class TestDualityGap:
