@@ -22,7 +22,7 @@ for eps in (0.5, 0.25, 0.125):
         cover_ball(spec, points[:, [j]], R=1.0, eps=eps, seed=j)
         for j, spec in enumerate(specs)
     ]
-    combo = additive_net(nets, full_points=points)
+    combo = additive_net(nets)
     blocks = sample_additive_ball(specs, layout, points, n=1000, seed=123)
     _, dists = nearest_center(combo, sum(blocks))
     print(f"{eps:7.3f} {nets[0].size:6d} {nets[1].size:6d} {combo.size:10d} "

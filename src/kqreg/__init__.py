@@ -11,11 +11,9 @@ from .kernels import (
     Additive,
     BlockLayout,
     Gaussian,
-    GramMatrix,
     KernelSpec,
     Product,
     SobolevMin,
-    cross_gram,
     gram,
     rkhs_norm_sq,
     spec_from_dict,
@@ -46,7 +44,6 @@ from .capacity import (
     EmpiricalNet,
     additive_net,
     cover_ball,
-    empirical_distance,
 )
 from .rates import (
     RateParams,

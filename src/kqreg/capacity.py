@@ -20,7 +20,6 @@ from .kernels import BlockLayout, KernelSpec, gram
 
 __all__ = [
     "EmpiricalNet",
-    "empirical_distance",
     "cover_ball",
     "additive_net",
     "sample_ball_values",
@@ -31,7 +30,7 @@ __all__ = [
 _DEFAULT_SAMPLES = 20000
 # greedy insertion runs at this fraction of the claimed radius so that fresh
 # draws (not part of the generating sample) still land within the net
-_DEFAULT_MARGIN = 0.7
+_MARGIN = 0.7
 
 
 @dataclass(frozen=True)
@@ -40,25 +39,15 @@ class EmpiricalNet:
 
     centers: np.ndarray = field(repr=False)  # (n_centers, m)
     radius: float
-    points: np.ndarray = field(repr=False)
 
     @property
     def size(self) -> int:
         return self.centers.shape[0]
 
 
-def empirical_distance(f_vals, g_vals) -> float:
-    """Root-mean-square difference of two value vectors."""
-    f = np.asarray(f_vals, dtype=float).ravel()
-    g = np.asarray(g_vals, dtype=float).ravel()
-    if f.shape != g.shape:
-        raise ValueError(f"value vectors differ in length: {f.shape} vs {g.shape}")
-    return float(np.sqrt(np.mean((f - g) ** 2)))
-
-
 def _ball_factor(spec: KernelSpec, points) -> np.ndarray:
     """Map a -> values taking the Euclidean unit ball onto the unit-ball trace."""
-    K = gram(spec, points).entries
+    K = gram(spec, points)
     vals, vecs = np.linalg.eigh(K)
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
@@ -108,11 +97,10 @@ def cover_ball(
     eps: float,
     seed: int = 0,
     n_samples: int = _DEFAULT_SAMPLES,
-    margin: float = _DEFAULT_MARGIN,
 ) -> EmpiricalNet:
     """Greedy net over a seeded sample of the R-ball's trace on ``points``.
 
-    The net is built at ``margin * eps`` over the sample and claims radius
+    The net is built at ``_MARGIN * eps`` over the sample and claims radius
     ``eps``; the size is a covering-number estimate.  Scaling is exact by
     construction: the (R, eps) net has the same size as the unit-ball net at
     eps / R for the same seed.
@@ -125,14 +113,14 @@ def cover_ball(
     if P.ndim == 1:
         P = P[:, None]
     if R == 0:
-        return EmpiricalNet(centers=np.zeros((1, P.shape[0])), radius=eps, points=P)
+        return EmpiricalNet(centers=np.zeros((1, P.shape[0])), radius=eps)
     rng = np.random.default_rng(seed)
     unit_values = sample_ball_values(spec, P, 1.0, n_samples, rng)
-    centers = R * _greedy_net(unit_values, margin * eps / R)
-    return EmpiricalNet(centers=centers, radius=eps, points=P)
+    centers = R * _greedy_net(unit_values, _MARGIN * eps / R)
+    return EmpiricalNet(centers=centers, radius=eps)
 
 
-def additive_net(nets: list[EmpiricalNet], full_points=None) -> EmpiricalNet:
+def additive_net(nets: list[EmpiricalNet]) -> EmpiricalNet:
     """Combine per-block nets: every sum of one center per block.
 
     Covers the additive ball at the summed radius; the center count is the
@@ -147,35 +135,23 @@ def additive_net(nets: list[EmpiricalNet], full_points=None) -> EmpiricalNet:
     combined = nets[0].centers
     for net in nets[1:]:
         combined = (combined[:, None, :] + net.centers[None, :, :]).reshape(-1, m)
-    radius = float(sum(net.radius for net in nets))
-    points = nets[0].points if full_points is None else np.asarray(full_points, dtype=float)
-    return EmpiricalNet(centers=combined, radius=radius, points=points)
+    return EmpiricalNet(centers=combined, radius=float(sum(net.radius for net in nets)))
 
 
 def sample_additive_ball(
-    specs: list[KernelSpec],
-    layout: BlockLayout,
-    points,
-    n: int,
-    seed: int = 0,
-    radii: list[float] | None = None,
+    specs: list[KernelSpec], layout: BlockLayout, points, n: int, seed: int = 0
 ) -> list[np.ndarray]:
     """Per-block value-vectors of n functions f = sum_j f_j with block norms
-    at most the given radii (default 1).  Sum the list to get the additive
-    function values."""
+    at most 1.  Sum the list to get the additive function values."""
     P = np.asarray(points, dtype=float)
-    if radii is None:
-        radii = [1.0] * layout.n_blocks
     rng = np.random.default_rng(seed)
-    out = []
-    for spec, sl, R in zip(specs, layout.slices(), radii):
-        out.append(sample_ball_values(spec, P[:, sl], R, n, rng))
-    return out
+    return [sample_ball_values(spec, P[:, sl], 1.0, n, rng)
+            for spec, sl in zip(specs, layout.slices())]
 
 
 def nearest_center(net: EmpiricalNet, values) -> tuple[np.ndarray, np.ndarray]:
     """Index of each row's nearest center (the first on ties) and the
-    empirical distance to it."""
+    empirical (root-mean-square) distance to it."""
     V = np.atleast_2d(np.asarray(values, dtype=float))
     rows = np.arange(V.shape[0])
     index = np.zeros(V.shape[0], dtype=int)

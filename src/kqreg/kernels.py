@@ -16,7 +16,7 @@ stable:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,9 +28,7 @@ __all__ = [
     "SobolevMin",
     "Additive",
     "Product",
-    "GramMatrix",
     "gram",
-    "cross_gram",
     "rkhs_norm_sq",
     "spec_to_dict",
     "spec_from_dict",
@@ -83,13 +81,6 @@ class KernelSpec:
             raise ValueError(f"point dimensions differ: {x.shape} vs {xp.shape}")
         return float(self._cross(_as_points(x[None, :], self), _as_points(xp[None, :], self))[0, 0])
 
-    def __call__(self, x, xp) -> float:
-        return self.eval(x, xp)
-
-    def kappa(self) -> float:
-        """Sum over blocks of sup_x sqrt(k_j(x, x)); bounds sup |k| by kappa^2."""
-        raise NotImplementedError
-
     def dim(self) -> int | None:
         """Required input dimension, or None if any dimension is accepted."""
         raise NotImplementedError
@@ -111,9 +102,6 @@ class Gaussian(KernelSpec):
     def __post_init__(self):
         if not (self.sigma > 0):
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-
-    def kappa(self) -> float:
-        return 1.0
 
     def dim(self) -> int | None:
         return None
@@ -139,9 +127,6 @@ class Gaussian(KernelSpec):
 @dataclass(frozen=True)
 class SobolevMin(KernelSpec):
     """k(u, v) = 1 + min(u, v), the first-order Sobolev kernel on [0, 1]."""
-
-    def kappa(self) -> float:
-        return np.sqrt(2.0)
 
     def dim(self) -> int | None:
         return 1
@@ -189,9 +174,6 @@ class Additive(_Composite):
         object.__setattr__(self, "components", tuple(components))
         self._validate()
 
-    def kappa(self) -> float:
-        return sum(c.kappa() for c in self.components)
-
     def _cross(self, A, B):
         out = None
         for blk in self._block_crosses(A, B):
@@ -211,30 +193,11 @@ class Product(_Composite):
         object.__setattr__(self, "components", tuple(components))
         self._validate()
 
-    def kappa(self) -> float:
-        out = 1.0
-        for c in self.components:
-            out *= c.kappa()
-        return out
-
     def _cross(self, A, B):
         out = None
         for blk in self._block_crosses(A, B):
             out = blk if out is None else np.multiply(out, blk, out=out)
         return out
-
-
-@dataclass(frozen=True)
-class GramMatrix:
-    """Symmetric PSD matrix of pairwise kernel values on a point set."""
-
-    entries: np.ndarray
-    spec: KernelSpec
-    points: np.ndarray = field(repr=False)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
 
 
 def _as_points(points, spec: KernelSpec) -> np.ndarray:
@@ -253,34 +216,22 @@ def _as_points(points, spec: KernelSpec) -> np.ndarray:
     return X
 
 
-def cross_gram(spec: KernelSpec, points_a, points_b) -> np.ndarray:
-    """Kernel matrix between two point sets (rows of a vs rows of b)."""
-    A = _as_points(points_a, spec)
-    B = _as_points(points_b, spec)
-    if A.shape[1] != B.shape[1]:
-        raise ValueError("point sets have different dimensions")
-    K = spec._cross(A, B)
-    # finite points can still overflow, e.g. a sum of 1 + min blocks at -1e308
-    if not np.all(np.isfinite(K)):
-        raise ValueError("kernel matrix has non-finite entries")
-    return K
-
-
-def gram(spec: KernelSpec, points) -> GramMatrix:
+def gram(spec: KernelSpec, points) -> np.ndarray:
     """Gram matrix K[i, l] = k(x_i, x_l), exactly symmetric."""
     X = _as_points(points, spec)
     K = spec._cross(X, X)
+    # finite points can still overflow, e.g. a sum of 1 + min blocks at -1e308
     if not np.all(np.isfinite(K)):
         raise ValueError("gram matrix has non-finite entries")
-    return GramMatrix(entries=K, spec=spec, points=X)
+    return K
 
 
-def rkhs_norm_sq(coeffs, gram_matrix: GramMatrix | np.ndarray) -> float:
+def rkhs_norm_sq(coeffs, gram_matrix) -> float:
     """Squared norm c'Kc of the expansion f = sum_i c_i k(x_i, .).
 
     Tiny negative values from round-off are clamped to zero.
     """
-    K = gram_matrix.entries if isinstance(gram_matrix, GramMatrix) else np.asarray(gram_matrix)
+    K = np.asarray(gram_matrix)
     c = np.asarray(coeffs, dtype=float)
     if c.shape != (K.shape[0],):
         raise ValueError(f"coefficient length {c.shape} does not match gram size {K.shape[0]}")

@@ -52,7 +52,7 @@ PREDICT_BLOCK_ENTRIES = 2**18
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when the duality gap did not reach tolerance; carries the smallest gap."""
+    """Raised when the duality gap did not reach tolerance; carries the last certified gap."""
 
     def __init__(self, message: str, gap: float):
         super().__init__(message)
@@ -143,21 +143,48 @@ def _read_csv(path) -> tuple[list[str], np.ndarray]:
 
     The rows are parsed by numpy's C reader: fields may carry surrounding
     whitespace or double quotes, blank lines are skipped, and every other
-    line must hold one number per header column.
-    """
+    line must hold one number per header column; a refused file's error
+    names its first bad line."""
     with open(path, newline="") as fh:
         header = next(csv.reader(fh), None)
         if header is None:
             raise ValueError(f"{path}: empty file")
         header = [h.strip() for h in header]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # no rows: refused below
-            arr = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no rows: refused below
+                arr = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2)
+        except ValueError as err:
+            fh.seek(0)
+            where = _first_bad_line(fh, len(header))
+            raise ValueError(f"{path}, {where}" if where else f"{path}: {err}") from None
     if arr.shape[0] == 0:
         raise ValueError(f"{path}: no data rows")
     if arr.shape[1] != len(header):
         raise ValueError(f"{path}: rows have {arr.shape[1]} fields, header has {len(header)}")
     return header, arr
+
+
+def _first_bad_line(fh, width: int) -> str | None:
+    """'line <n>: <what is wrong>' for the first data line of a CSV that has
+    other than ``width`` fields or a field that is not a number."""
+    reader = csv.reader(fh)
+    next(reader)  # the header
+    start = 2
+    for row in reader:
+        line, start = start, reader.line_num + 1  # a quoted field may span lines
+        if not row:
+            continue  # a blank line, skipped by loadtxt too
+        if len(row) != width:
+            return f"line {line}: expected {width} fields, got {len(row)}"
+        for field in row:
+            try:  # float() also takes '1_0' and non-ASCII digits; the C reader does not
+                if "_" in field or not field.strip().isascii():
+                    raise ValueError(field)
+                float(field)
+            except ValueError:
+                return f"line {line}: {field!r} is not a number"
+    return None
 
 
 def read_inputs(path, d: int) -> np.ndarray:
@@ -234,7 +261,7 @@ class Model:
         """
         if self.fit_norm_sq is not None:
             return self.fit_norm_sq
-        K = gram(self.spec, self.support).entries
+        K = gram(self.spec, self.support)
         return kernels.rkhs_norm_sq(self.alpha, K)
 
     def to_dict(self) -> dict:
@@ -315,7 +342,7 @@ def fit(
         raise ValueError(f"lambda must be positive, got {lam}")
     if not (0.0 < tau < 1.0):
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    K = gram(spec, data.inputs).entries
+    K = gram(spec, data.inputs)
     y = data.responses
     w = data.weight_vector()
 
@@ -326,7 +353,7 @@ def fit(
 
     u = np.zeros_like(y)
     alpha_u, reg, gap, ok = certify(u)
-    best, steps, prev_band = gap, 0, None
+    steps, prev_band = 0, None
     alpha, f = np.zeros_like(y), np.zeros_like(y)
     h = h0 = float(np.max(np.abs(y)))
     while not ok and steps < opts.max_epochs and h > h0 * np.finfo(float).eps:
@@ -370,7 +397,6 @@ def fit(
 
         u = -psi
         alpha_u, reg, gap, ok = certify(u)
-        best = min(best, gap)
         if not ok and band.any() and np.array_equal(band, prev_band):
             # The band repeated across widths: take its h -> 0 limit, where band
             # points interpolate, (K alpha)_B = y_B, and the rest stay at bounds.
@@ -382,21 +408,20 @@ def fit(
             u[B] += np.linalg.lstsq(M, rhs, rcond=None)[0]
             u = np.clip(u, -tau, 1.0 - tau)
             alpha_u, reg, gap, ok = certify(u)
-            best = min(best, gap)
         prev_band = band
         h /= 10.0
 
-    if not ok:
-        raise ConvergenceError(
-            f"duality gap {best:.3e} above tolerance after {steps} Newton steps", gap=best
-        )
+    if not ok:  # h was divided once past the last width tried
+        why = "step cap reached" if steps >= opts.max_epochs else "width at round-off of max|y|"
+        raise ConvergenceError(f"duality gap {gap:.3e} above tolerance at smoothing width "
+                               f"h={10.0 * h:.3e} after {steps} Newton steps ({why})", gap=gap)
     return Model(spec=spec, support=data.inputs, dual=u, alpha=alpha_u,
                  lam=lam, tau=tau, gap=gap, fit_norm_sq=max(reg, 0.0))
 
 
 def duality_gap(model: Model, data: DataSet) -> float:
     """Primal minus dual objective of the model's dual variables on data."""
-    K = gram(model.spec, data.inputs).entries
+    K = gram(model.spec, data.inputs)
     w = data.weight_vector()
     _, _, gap, _ = _primal_dual(K, data.responses, w, model.dual, model.alpha,
                                 model.tau, model.lam)

@@ -130,7 +130,7 @@ class OperatorDecomposition:
 
 def operator_matrix(spec: KernelSpec, mu: DiscreteMeasure) -> np.ndarray:
     """Symmetrized operator W^{1/2} K W^{1/2} on the measure's support."""
-    K = gram(spec, mu.points).entries
+    K = gram(spec, mu.points)
     sq = np.sqrt(mu.weights)
     return sq[:, None] * K * sq[None, :]
 

@@ -27,14 +27,20 @@ __all__ = [
     "SUITES",
 ]
 
+# grid values per coordinate of the dual grid oracle (before refinement),
+# ridge-filter cases, approx lambdas, capacity points, norm-series terms
+GRID_STEPS = 201
+FILTER_CASES = 100
+APPROX_LAMBDAS = (1.0, 0.5, 0.1, 0.01)
+CAPACITY_POINTS = 10
+SERIES_M = 10000
 
-def dual_grid_oracle(
-    spec: KernelSpec, data: DataSet, lam: float, tau: float, steps: int = 201
-) -> float:
+
+def dual_grid_oracle(spec: KernelSpec, data: DataSet, lam: float, tau: float) -> float:
     """Best dual objective found by exhaustive box-grid search plus one local
     refinement.  Independent of the Newton solver; every primal
     objective must dominate this value (weak duality)."""
-    K = gram(spec, data.inputs).entries
+    K = gram(spec, data.inputs)
     y = data.responses
     w = data.weight_vector()
     n = data.n
@@ -56,9 +62,9 @@ def dual_grid_oracle(
                 best_val, best_u = float(vals[best]), U[best]
         return best_val, best_u
 
-    coarse_axes = [np.linspace(lo, hi, steps)] * n
+    coarse_axes = [np.linspace(lo, hi, GRID_STEPS)] * n
     best_val, best_u = grid_max(coarse_axes)
-    cell = (hi - lo) / (steps - 1)
+    cell = (hi - lo) / (GRID_STEPS - 1)
     fine_axes = [
         np.linspace(max(lo, u - cell), min(hi, u + cell), 41) for u in best_u
     ]
@@ -66,10 +72,10 @@ def dual_grid_oracle(
     return max(best_val, fine_val)
 
 
-def verify_filter_bound(seed: int = 0, n_cases: int = 100) -> tuple[list[dict], bool]:
+def verify_filter_bound(seed: int = 0) -> tuple[list[dict], bool]:
     """Randomized ridge-filter inequality checks on discrete measures."""
     rows = []
-    for case in range(n_cases):
+    for case in range(FILTER_CASES):
         rng = np.random.default_rng([seed, case])
         if rng.random() < 0.5:
             spec: KernelSpec = Gaussian(sigma=float(rng.uniform(0.5, 2.0)))
@@ -91,11 +97,7 @@ def verify_filter_bound(seed: int = 0, n_cases: int = 100) -> tuple[list[dict], 
     return rows, all(r["pass"] for r in rows)
 
 
-def verify_approx(
-    seed: int = 0,
-    n_problems: int = 10,
-    lam_grid: tuple[float, ...] = (1.0, 0.5, 0.1, 0.01),
-) -> tuple[list[dict], bool]:
+def verify_approx(seed: int = 0, n_problems: int = 10) -> tuple[list[dict], bool]:
     """Measured additive approximation error against the closed-form bound."""
     taus = (0.5, 0.3, 0.7)
     rows = []
@@ -111,7 +113,7 @@ def verify_approx(
             measures.append(spectral.DiscreteMeasure(points=pts, weights=w))
             gstars.append(rng.normal(size=6))
         tau = taus[p % len(taus)]
-        for lam in lam_grid:
+        for lam in APPROX_LAMBDAS:
             measured, bound = spectral.approx_error(
                 specs, measures, gstars, r=0.5, lam=lam, tau=tau
             )
@@ -121,17 +123,14 @@ def verify_approx(
 
 
 def verify_capacity(
-    seed: int = 0,
-    eps_grid: tuple[float, ...] = (0.5, 0.25, 0.125),
-    n_points: int = 10,
-    n_fresh: int = 1000,
+    seed: int = 0, eps_grid: tuple[float, ...] = (0.5, 0.25, 0.125), n_fresh: int = 1000
 ) -> tuple[list[dict], bool]:
     """Product-net coverage of fresh additive-ball samples at twice the
     block radius, plus the exact product-count identity."""
     layout = BlockLayout([1, 1])
     specs = [Gaussian(sigma=1.0), Gaussian(sigma=1.0)]
     rng = np.random.default_rng(seed)
-    points = rng.random((n_points, 2))
+    points = rng.random((CAPACITY_POINTS, 2))
     block_samples = capacity.sample_additive_ball(
         specs, layout, points, n=n_fresh, seed=seed + 7919
     )
@@ -148,11 +147,11 @@ def verify_capacity(
         for net, vals in zip(nets, block_samples):
             idx, _ = capacity.nearest_center(net, vals)
             combined += net.centers[idx]
-        dists = np.linalg.norm(added - combined, axis=1) / math.sqrt(n_points)
+        dists = np.linalg.norm(added - combined, axis=1) / math.sqrt(CAPACITY_POINTS)
         worst = float(dists.max())
         rows.append({"eps": eps, "block_id": "coverage", "log_count": worst,
                      "bound": 2.0 * eps, "pass": worst <= 2.0 * eps})
-        product = capacity.additive_net(nets, full_points=points)
+        product = capacity.additive_net(nets)
         log_prod = float(np.log(product.size))
         log_sum = float(sum(np.log(net.size) for net in nets))
         rows.append({"eps": eps, "block_id": "additive", "log_count": log_prod,
@@ -160,23 +159,23 @@ def verify_capacity(
     return rows, all(r["pass"] for r in rows)
 
 
-def verify_series(seed: int = 0, M: int = 10000) -> tuple[list[dict], bool]:
+def verify_series(seed: int = 0) -> tuple[list[dict], bool]:
     """Divergence of the bump's product-space norm series vs its additive norm."""
-    report = experiments.bump_membership_report(sigma=1.0, grid_m=M)
+    report = experiments.bump_membership_report(sigma=1.0, grid_m=SERIES_M)
     rows = [{
         "case": "additive_norm",
         "lhs": report["additive_norm"],
         "rhs": 1.0,
         "pass": report["additive_norm"] == 1.0,
     }]
-    sums = experiments.product_norm_partial_sums(M)
-    lower = experiments.series_lower_bounds(M)
+    sums = experiments.product_norm_partial_sums(SERIES_M)
+    lower = experiments.series_lower_bounds(SERIES_M)
     margin = float(np.min(sums[1:] - lower))
-    rows.append({"case": f"partial_sums_dominate_bound_M<={M}", "lhs": margin,
+    rows.append({"case": f"partial_sums_dominate_bound_M<={SERIES_M}", "lhs": margin,
                  "rhs": 0.0, "pass": margin >= 0.0})
-    asym = 2.0 * math.sqrt(M / math.pi)
+    asym = 2.0 * math.sqrt(SERIES_M / math.pi)
     rel = abs(float(sums[-1]) - asym) / asym
-    rows.append({"case": f"S_{M}_asymptote", "lhs": float(sums[-1]), "rhs": asym,
+    rows.append({"case": f"S_{SERIES_M}_asymptote", "lhs": float(sums[-1]), "rhs": asym,
                  "pass": rel <= 0.02})
     return rows, all(r["pass"] for r in rows)
 

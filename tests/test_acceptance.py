@@ -82,19 +82,19 @@ def test_criterion_3_quantile_schedule_equalizes_terms():
 
 def test_criterion_4_filter_inequality_100_configs():
     t0 = time.time()
-    rows, ok = verify_filter_bound(seed=0, n_cases=100)
+    rows, ok = verify_filter_bound(seed=0)
     elapsed = time.time() - t0
     margin = min(r["rhs"] + 1e-9 - r["lhs"] for r in rows)
-    ok = ok and elapsed < 10.0
+    ok = ok and len(rows) == 100 and elapsed < 10.0
     report(4, ok, f"100 configs, min slack = {margin:.2e} (tol 1e-9), {elapsed:.1f}s")
 
 
 def test_criterion_5_approximation_bound():
     t0 = time.time()
-    rows, ok = verify_approx(seed=0, n_problems=10, lam_grid=(1.0, 0.5, 0.1, 0.01))
+    rows, ok = verify_approx(seed=0, n_problems=10)
     elapsed = time.time() - t0
     margin = min(r["rhs"] + 1e-6 - r["lhs"] for r in rows)
-    ok = ok and elapsed < 60.0
+    ok = ok and len(rows) == 40 and elapsed < 60.0
     report(5, ok, f"10 problems x 4 lambdas, min slack = {margin:.2e} (tol 1e-6), {elapsed:.1f}s")
 
 
@@ -113,7 +113,7 @@ def test_criterion_6_solver_correctness():
 
 def test_criterion_7_additive_net_construction():
     t0 = time.time()
-    rows, ok = verify_capacity(seed=0, eps_grid=(0.5, 0.25, 0.125), n_points=10, n_fresh=1000)
+    rows, ok = verify_capacity(seed=0, eps_grid=(0.5, 0.25, 0.125), n_fresh=1000)
     elapsed = time.time() - t0
     cover = [r for r in rows if r["block_id"] == "coverage"]
     worst = max(r["log_count"] / r["bound"] for r in cover)
@@ -124,7 +124,7 @@ def test_criterion_7_additive_net_construction():
 
 def test_criterion_8_series_divergence():
     t0 = time.time()
-    rows, ok = verify_series(seed=0, M=10000)
+    rows, ok = verify_series(seed=0)
     elapsed = time.time() - t0
     ok = ok and elapsed < 1.0
     report(8, ok, f"additive norm exactly 1, partial sums dominate bound up to M=1e4, "

@@ -9,7 +9,6 @@ from kqreg.capacity import (
     EmpiricalNet,
     additive_net,
     cover_ball,
-    empirical_distance,
     nearest_center,
     sample_additive_ball,
     sample_ball_values,
@@ -18,20 +17,24 @@ from kqreg.kernels import BlockLayout, Gaussian
 from kqreg.verification import verify_capacity
 
 
+def _distance(f_vals, g_vals) -> float:
+    """The empirical distance nearest_center reports from f to a net whose
+    one center is g."""
+    net = EmpiricalNet(centers=np.asarray([g_vals], dtype=float), radius=1.0)
+    _, dist = nearest_center(net, f_vals)
+    return float(dist[0])
+
+
 class TestEmpiricalDistance:
     def test_zero_for_identical(self):
         v = np.array([0.3, -0.2, 1.0])
-        assert empirical_distance(v, v) == 0.0
+        assert _distance(v, v) == 0.0
 
     def test_single_point(self):
-        assert empirical_distance([1.0], [0.0]) == 1.0
+        assert _distance([1.0], [0.0]) == 1.0
 
     def test_unit_differences(self):
-        assert empirical_distance([1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 2.0, 3.0]) == pytest.approx(1.0)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            empirical_distance([1.0], [1.0, 2.0])
+        assert _distance([1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 2.0, 3.0]) == pytest.approx(1.0)
 
 
 class TestCoverBall:
@@ -82,34 +85,30 @@ class TestCoverBall:
 
 
 class TestAdditiveNet:
-    def _fake_net(self, centers, radius, points):
-        return EmpiricalNet(centers=np.asarray(centers, dtype=float),
-                            radius=radius, points=points)
+    def _fake_net(self, centers, radius):
+        return EmpiricalNet(centers=np.asarray(centers, dtype=float), radius=radius)
 
     def test_product_count(self):
-        pts = np.zeros((2, 1))
-        n1 = self._fake_net(np.arange(6).reshape(3, 2), 0.1, pts)
-        n2 = self._fake_net(np.arange(8).reshape(4, 2), 0.2, pts)
+        n1 = self._fake_net(np.arange(6).reshape(3, 2), 0.1)
+        n2 = self._fake_net(np.arange(8).reshape(4, 2), 0.2)
         combo = additive_net([n1, n2])
         assert combo.size == 12
         assert combo.radius == pytest.approx(0.3)
 
     def test_single_block_identity(self):
-        pts = np.zeros((2, 1))
-        n1 = self._fake_net(np.arange(6).reshape(3, 2), 0.1, pts)
+        n1 = self._fake_net(np.arange(6).reshape(3, 2), 0.1)
         combo = additive_net([n1])
         np.testing.assert_array_equal(combo.centers, n1.centers)
 
     def test_centers_are_all_pairwise_sums(self):
-        pts = np.zeros((2, 1))
-        n1 = self._fake_net([[0.0, 0.0], [1.0, 1.0]], 0.1, pts)
-        n2 = self._fake_net([[0.0, 10.0]], 0.1, pts)
+        n1 = self._fake_net([[0.0, 0.0], [1.0, 1.0]], 0.1)
+        n2 = self._fake_net([[0.0, 10.0]], 0.1)
         combo = additive_net([n1, n2])
         np.testing.assert_allclose(combo.centers, [[0.0, 10.0], [1.0, 11.0]])
 
     def test_incompatible_point_counts_rejected(self):
-        n1 = self._fake_net(np.zeros((2, 3)), 0.1, np.zeros((3, 1)))
-        n2 = self._fake_net(np.zeros((2, 4)), 0.1, np.zeros((4, 1)))
+        n1 = self._fake_net(np.zeros((2, 3)), 0.1)
+        n2 = self._fake_net(np.zeros((2, 4)), 0.1)
         with pytest.raises(ValueError):
             additive_net([n1, n2])
 
@@ -144,7 +143,7 @@ class TestAdditiveCoverage:
             cover_ball(spec, self.POINTS[:, [j]], R=1.0, eps=0.25, seed=10 + j)
             for j, spec in enumerate(self.SPECS)
         ]
-        combo = additive_net(nets, full_points=self.POINTS)
+        combo = additive_net(nets)
         _, dists = nearest_center(combo, sum(blocks))
         assert dists.max() <= 2 * 0.25
 
@@ -156,7 +155,7 @@ class TestNearestCenter:
         centers = rng.normal(size=(7, 1000))
         centers[5] = centers[3]  # a tie across chunks keeps the first index
         values = centers[rng.integers(0, 7, size=2000)] + 0.1 * rng.normal(size=(2000, 1000))
-        net = EmpiricalNet(centers=centers, radius=1.0, points=np.zeros((1000, 1)))
+        net = EmpiricalNet(centers=centers, radius=1.0)
         idx, dist = nearest_center(net, values)
         brute = np.stack([np.linalg.norm(values - c, axis=1) for c in centers], axis=1)
         np.testing.assert_array_equal(idx, np.argmin(brute, axis=1))

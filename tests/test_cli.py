@@ -198,6 +198,25 @@ class TestFitPredict:
                                "--out", str(tmp / "m.json")) == 2, name
             assert not caught, (name, [str(w.message) for w in caught])
 
+    def test_bad_rows_are_named_by_path_and_line(self, model3, capsys):
+        model_path, _, tmp = model3
+        kernel_path = tmp / "kernel3.json"
+        bad = {  # lines count from 1 at the header, blank lines included
+            "ragged": ("x1,x2,x3,y\n0.1,0.2,0.3,1.0\n\n0.1,0.2,0.3\n",
+                       "line 4: expected 4 fields, got 3"),
+            "non-numeric": ("x1,x2,x3,y\n0.1,0.2,0.3,1.0\n0.1,zz,0.3,1.0\n",
+                            "line 3: 'zz' is not a number"),
+        }
+        for name, (text, what) in bad.items():
+            data_path = tmp / f"{name}.csv"
+            data_path.write_text(text, newline="")
+            for argv in (("predict", "--model", str(model_path), "--data", str(data_path),
+                          "--out", str(tmp / "preds.csv")),
+                         ("fit", "--data", str(data_path), "--kernel", str(kernel_path),
+                          "--lambda", "0.1", "--tau", "0.5", "--out", str(tmp / "m.json"))):
+                assert run_cli(*argv) == 2, (name, argv[0])
+                assert capsys.readouterr().err == f"error: {data_path}, {what}\n", (name, argv[0])
+
     def test_predict_bad_header_is_input_error(self, model3):
         model_path, _, tmp = model3
         for header in ("x1,x2", "x1,x2,y", "x1,x3,x2", "x1,x2,x3,w", "x1,x2,x3,x4"):

@@ -12,7 +12,6 @@ from kqreg.kernels import (
     Gaussian,
     Product,
     SobolevMin,
-    cross_gram,
     gram,
     rkhs_norm_sq,
     spec_from_dict,
@@ -56,14 +55,6 @@ class TestEval:
                 x, xp = rng.random(d), rng.random(d)
                 assert spec.eval(x, xp) == pytest.approx(spec.eval(xp, x), abs=1e-14), name
 
-    def test_kappa_bounds_kernel_values(self):
-        rng = np.random.default_rng(1)
-        for name, (spec, d) in _variants().items():
-            kap2 = spec.kappa() ** 2
-            for _ in range(50):
-                x, xp = rng.random(d), rng.random(d)
-                assert abs(spec.eval(x, xp)) <= kap2 + 1e-12, name
-
     def test_additive_gaussian_bounded_by_block_count(self):
         s = 3
         lay = BlockLayout([1] * s)
@@ -71,7 +62,6 @@ class TestEval:
         rng = np.random.default_rng(2)
         vals = [abs(spec.eval(rng.random(s), rng.random(s))) for _ in range(100)]
         assert max(vals) <= s
-        assert spec.kappa() == s
 
     def test_dimension_mismatch_rejected(self):
         lay = BlockLayout([1, 1])
@@ -85,8 +75,8 @@ class TestEval:
 class TestGram:
     def test_single_point_gaussian(self):
         G = gram(Gaussian(1.0), [[0.4]])
-        assert G.entries.shape == (1, 1)
-        assert G.entries[0, 0] == 1.0
+        assert G.shape == (1, 1)
+        assert G[0, 0] == 1.0
 
     def test_additive_gram_is_sum_of_block_grams(self):
         rng = np.random.default_rng(3)
@@ -94,14 +84,14 @@ class TestGram:
         lay = BlockLayout([1, 1])
         parts = [Gaussian(1.0), SobolevMin()]
         spec = Additive(lay, parts)
-        total = gram(spec, X).entries
-        blocks = sum(gram(p, X[:, [j]]).entries for j, p in enumerate(parts))
+        total = gram(spec, X)
+        blocks = sum(gram(p, X[:, [j]]) for j, p in enumerate(parts))
         np.testing.assert_allclose(total, blocks, atol=1e-12)
 
     def test_duplicated_points_give_equal_rows(self):
         X = np.array([[0.3, 0.6], [0.3, 0.6], [0.9, 0.1]])
         lay = BlockLayout([1, 1])
-        G = gram(Additive(lay, [Gaussian(1.0), Gaussian(1.0)]), X).entries
+        G = gram(Additive(lay, [Gaussian(1.0), Gaussian(1.0)]), X)
         np.testing.assert_allclose(G[0], G[1], atol=1e-15)
         eigs = np.linalg.eigvalsh(G)
         assert eigs.min() >= -1e-8 * np.trace(G) / 3
@@ -111,7 +101,7 @@ class TestGram:
         for name, (spec, d) in _variants().items():
             for _ in range(50):
                 n = int(rng.integers(1, 21))
-                G = gram(spec, rng.random((n, d))).entries
+                G = gram(spec, rng.random((n, d)))
                 floor = -1e-8 * np.trace(G) / n
                 assert np.linalg.eigvalsh(G).min() >= floor, name
 
@@ -121,35 +111,33 @@ class TestGram:
             with pytest.raises(ValueError, match="non-finite coordinates"):
                 gram(spec, [[bad], [0.0]])
             with pytest.raises(ValueError, match="non-finite coordinates"):
-                cross_gram(spec, [[bad]], [[0.5]])
-            with pytest.raises(ValueError, match="non-finite coordinates"):
-                cross_gram(spec, [[0.5]], [[bad]])
-            with pytest.raises(ValueError, match="non-finite coordinates"):
                 spec.eval(bad, 0.5)
+            with pytest.raises(ValueError, match="non-finite coordinates"):
+                spec.eval(0.5, bad)
 
     def test_overflow_from_finite_input_rejected(self):
         spec = Additive(BlockLayout([1, 1]), [SobolevMin(), SobolevMin()])
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite entries"):
-            cross_gram(spec, [[-1e308, -1e308]], [[0.5, 0.5]])
+            gram(spec, [[-1e308, -1e308], [0.5, 0.5]])
 
     def test_zero_width_points_rejected(self):
         with pytest.raises(ValueError, match="at least one coordinate"):
             gram(Gaussian(1.0), np.zeros((3, 0)))
-        with pytest.raises(ValueError, match="at least one coordinate"):
-            cross_gram(Gaussian(1.0), np.zeros((3, 0)), np.zeros((2, 0)))
         with pytest.raises(ValueError, match="at least one coordinate"):
             Gaussian(1.0).eval([], [])
 
     def test_gaussian_matches_per_coordinate_formula(self):
         # every width sums the per-coordinate (a - b)^2 in this order; the
         # tolerance was set for the expanded |a|^2 + |b|^2 - 2 a.b form that
-        # wider inputs once took, and is kept
+        # wider inputs once took, and is kept.  Each entry of the Gram of the
+        # stacked points is computed on its own, so its A-by-B block is
+        # the kernel matrix between A and B
         eps = np.finfo(float).eps
         rng = np.random.default_rng(6)
         for d in range(1, 5):
             for sigma in (0.3, 1.0, 2.5):
                 A, B = rng.normal(size=(6, d)), rng.normal(size=(5, d))
-                K = cross_gram(Gaussian(sigma), A, B)
+                K = gram(Gaussian(sigma), np.vstack([A, B]))[:6, 6:]
                 for i in range(6):
                     for j in range(5):
                         sq = sum((A[i, k] - B[j, k]) ** 2 for k in range(d))
@@ -164,33 +152,33 @@ class TestGram:
         lay = BlockLayout([1, 1, 1])
         X = rng.normal(size=(40, 3))
         for spec, diag in ((Additive(lay, one_d), 3.0), (Product(lay, one_d), 1.0)):
-            K = gram(spec, X).entries
+            K = gram(spec, X)
             assert np.array_equal(K, K.T), type(spec).__name__
             assert np.all(np.diag(K) == diag), type(spec).__name__
         # a Gaussian on a wider block sums (a - b)^2 over coordinates too
         lay = BlockLayout([1, 2, 1])
         for third in (Gaussian(2.0), SobolevMin()):
             for cls in (Additive, Product):
-                K = gram(cls(lay, [Gaussian(1.0), Gaussian(0.5), third]), rng.random((40, 4))).entries
+                K = gram(cls(lay, [Gaussian(1.0), Gaussian(0.5), third]), rng.random((40, 4)))
                 assert np.array_equal(K, K.T), cls.__name__
-        K = gram(Gaussian(0.7), rng.normal(size=(60, 3))).entries
+        K = gram(Gaussian(0.7), rng.normal(size=(60, 3)))
         assert np.array_equal(K, K.T)
         assert np.all(np.diag(K) == 1.0)
 
     def test_wide_gaussian_takes_large_finite_points(self):
         # no |a|^2 is formed, so no inf - inf
-        K = gram(Gaussian(1.0), [[1e200, 0.0], [0.0, 0.0]]).entries
+        K = gram(Gaussian(1.0), [[1e200, 0.0], [0.0, 0.0]])
         assert np.array_equal(K, np.eye(2))
-        assert np.array_equal(cross_gram(Gaussian(1.0), [[1e200, 1.0]], [[1e200, 1.0]]), [[1.0]])
+        assert Gaussian(1.0).eval([1e200, 1.0], [1e200, 1.0]) == 1.0
 
-    def test_cross_gram_matches_eval(self):
+    def test_gram_matches_eval(self):
         rng = np.random.default_rng(5)
         spec = Product(BlockLayout([1, 1]), [Gaussian(1.0), Gaussian(2.0)])
         A, B = rng.random((4, 2)), rng.random((3, 2))
-        K = cross_gram(spec, A, B)
+        K = gram(spec, np.vstack([A, B]))
         for i in range(4):
             for j in range(3):
-                assert K[i, j] == pytest.approx(spec.eval(A[i], B[j]), abs=1e-14)
+                assert K[i, 4 + j] == pytest.approx(spec.eval(A[i], B[j]), abs=1e-14)
 
 
 class TestExpansionNorm:

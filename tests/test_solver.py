@@ -9,7 +9,7 @@ from scipy.optimize import minimize
 
 from kqreg import solver
 from kqreg.kernels import (
-    Additive, BlockLayout, Gaussian, Product, SobolevMin, cross_gram, gram, rkhs_norm_sq,
+    Additive, BlockLayout, Gaussian, Product, SobolevMin, gram, rkhs_norm_sq,
 )
 from kqreg.loss import pinball
 from kqreg.solver import (
@@ -31,7 +31,7 @@ TIGHT = FitOptions(gap_tol=1e-10)
 def lbfgsb_dual_max(spec, data, lam, tau):
     """Box-constrained dual maximum via an optimizer independent of the
     Newton path."""
-    K = gram(spec, data.inputs).entries
+    K = gram(spec, data.inputs)
     y = data.responses
     w = data.weight_vector()
     n = data.n
@@ -102,7 +102,7 @@ class TestSmallInstances:
             data = DataSet(inputs=rng.random((n, 2)), responses=rng.normal(size=n))
             tau = float(rng.uniform(0.15, 0.85))
             lam = float(rng.uniform(0.05, 1.0))
-            K = gram(SPEC, data.inputs).entries
+            K = gram(SPEC, data.inputs)
             lo, hi = -tau, 1.0 - tau
             coarse, u = grid_max([np.linspace(lo, hi, 201)] * n, K, data, lam)
             cell = (hi - lo) / 200
@@ -232,9 +232,21 @@ class TestInvariants:
     def test_convergence_error_carries_gap(self):
         rng = np.random.default_rng(8)
         data = DataSet(inputs=rng.random((50, 2)), responses=rng.normal(size=50))
-        with pytest.raises(ConvergenceError) as err:
+        with pytest.raises(ConvergenceError, match=r"after 2 Newton steps \(step cap reached\)") as err:
             fit(SPEC, data, lam=1e-7, tau=0.5, opts=FitOptions(max_epochs=2))
         assert err.value.gap > 0
+
+    def test_convergence_error_reports_the_last_width(self):
+        # the zero model u = 0 certifies a gap of 0.3385 here, every Newton
+        # iterate one of at least 33.9; the error carries the last width's
+        rng = np.random.default_rng(0)
+        x = rng.random(300)
+        data = DataSet(inputs=x[:, None], responses=np.sin(6 * x) + 0.3 * rng.normal(size=300))
+        with pytest.raises(ConvergenceError, match=r"at smoothing width h=\S+ after \d+ Newton "
+                                                   r"steps \(width at round-off of max\|y\|\)") as err:
+            fit(Gaussian(0.5), data, lam=1e-12, tau=0.5)
+        assert err.value.gap >= 33.9
+        assert str(err.value).startswith(f"duality gap {err.value.gap:.3e} above tolerance")
 
 
 class TestPredict:
@@ -257,7 +269,7 @@ class TestPredict:
         rng = np.random.default_rng(9)
         data = DataSet(inputs=rng.random((20, 2)), responses=rng.normal(size=20))
         model = fit(SPEC, data, lam=0.1, tau=0.5, opts=TIGHT)
-        K = gram(SPEC, data.inputs).entries
+        K = gram(SPEC, data.inputs)
         np.testing.assert_allclose(model.predict(data.inputs), K @ model.alpha, atol=1e-10)
 
     @pytest.fixture()
@@ -271,9 +283,9 @@ class TestPredict:
                       alpha=rng.normal(size=n), lam=1.0, tau=0.5, gap=0.0)
         return model, rng.random((3 * 4096 + 1000, 2))
 
-    def test_blocked_predict_matches_one_cross_gram(self, blocked):
+    def test_blocked_predict_matches_one_kernel_matrix(self, blocked):
         model, X = blocked
-        K = cross_gram(model.spec, X, model.support)
+        K = model.spec._cross(X, model.support)
         got = model.predict(X)
         # both sides are the same dot products, summed in an order the BLAS
         # picks per call: they agree within twice the dot-product error bound
@@ -465,7 +477,7 @@ class TestValidationAndIO:
         model.save(path)
         back = Model.load(path)
         assert np.all(back.dual >= -tau) and np.all(back.dual <= 1.0 - tau)
-        K = gram(SPEC, data.inputs).entries
+        K = gram(SPEC, data.inputs)
         dual_obj = -float(np.sum(w * back.dual * data.responses)) - lam * float(
             back.alpha @ K @ back.alpha)
         assert -1e-12 <= duality_gap(back, data) <= FitOptions().gap_tol * (1.0 + abs(dual_obj))

@@ -40,7 +40,7 @@ class TestOperatorMatrix:
         pts = rng.random((5, 1))
         mu = DiscreteMeasure.uniform(pts)
         M = operator_matrix(Gaussian(1.0), mu)
-        K = gram(Gaussian(1.0), pts).entries
+        K = gram(Gaussian(1.0), pts)
         np.testing.assert_allclose(M, K / 5.0, atol=1e-14)
 
     def test_trace_identity(self):
@@ -118,7 +118,7 @@ class TestPowerApply:
         mu = random_measure(rng, 7)
         decomp = decompose(operator_matrix(spec, mu), mu.weights)
         g = rng.normal(size=7)
-        K = gram(spec, mu.points).entries
+        K = gram(spec, mu.points)
         direct = K @ (mu.weights * g)
         out = power_apply(decomp, 1.0, g)
         np.testing.assert_allclose(out.values, direct, atol=1e-9)
